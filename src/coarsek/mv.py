@@ -79,6 +79,12 @@ def cia_midpoint(x, y, masks, eps, tau=DEFAULT_TAU):
     supported in the overlap and satisfies ||x - z|| <= 4 eps and
     ||y - z|| <= 4 eps.
     """
+    return _cia_midpoint(x, y, masks, eps, tau)[0]
+
+
+def _cia_midpoint(x, y, masks, eps, tau, gap=None):
+    """cia_midpoint returning (z, ||x - z||, ||y - z||); a caller that has
+    already measured ||x - y|| passes it as ``gap``."""
     s1, s2, s3 = masks
     for op, bad, side in ((x, s3, "first"), (y, s1, "second")):
         reach = block_abs_max(op)
@@ -86,7 +92,8 @@ def cia_midpoint(x, y, masks, eps, tau=DEFAULT_TAU):
         if leak > tau:
             raise PropagationError(
                 f"{side} operator leaks {leak} outside its region")
-    gap = opnorm(x - y)
+    if gap is None:
+        gap = opnorm(x - y)
     if gap >= eps:
         raise DomainError(f"||x - y|| = {gap} not below eps = {eps}")
     z = restrict(0.5 * (x + y), s2, s2)
@@ -94,7 +101,7 @@ def cia_midpoint(x, y, masks, eps, tau=DEFAULT_TAU):
     if dx > 4 * eps + 1e-12 or dy > 4 * eps + 1e-12:
         raise VerificationFailure(
             f"midpoint distances ({dx}, {dy}) exceed 4 eps = {4 * eps}")
-    return z
+    return z, dx, dy
 
 
 @dataclass
@@ -188,10 +195,10 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
             xa = core + (eps / 2) * lobe1
             ya = core + (eps / 2) * lobe2
             gap = opnorm(xa - ya)
-            z = cia_midpoint(xa, ya, sig_masks, max(gap, 1e-12) * (1 + 1e-9), tau)
+            _, dx, dy = _cia_midpoint(xa, ya, sig_masks,
+                                      max(gap, 1e-12) * (1 + 1e-9), tau, gap)
             if gap > 1e-12:
-                scale_cia = max(scale_cia, opnorm(xa - z) / gap,
-                                opnorm(ya - z) / gap)
+                scale_cia = max(scale_cia, dx / gap, dy / gap)
         worst_split = max(worst_split, scale_split)
         worst_cia = max(worst_cia, scale_cia)
         rows.append((f"split_ratio s={s:.6g}", scale_split, pair.coercity,

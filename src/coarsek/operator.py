@@ -11,6 +11,8 @@ scalar bookkeeping stays exact.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, ShapeError
 
@@ -151,14 +153,78 @@ def _nearly_hermitian(m, tol=1e-13):
 
 
 def opnorm(op):
-    """Operator (spectral) norm; accepts a FiniteOperator or a matrix."""
+    """Operator (spectral) norm; accepts a FiniteOperator or a matrix.
+
+    The norm is the largest norm of the independent blocks of the nonzero
+    pattern.  Zero rows and columns contribute nothing, and permuting rows
+    and columns by the connected components of the pattern makes the rest
+    block-diagonal, so ``||A|| = max_k ||A[R_k, C_k]||`` exactly.  A matrix
+    whose nonzero part is fully populated is one block.
+
+    Hermitian rule: whether ``A`` is nearly Hermitian is decided once, for
+    the whole matrix.  If it is, the components come from the symmetric
+    pattern and each principal block is solved with ``eigvalsh`` (which
+    reads its lower triangle, as for the whole matrix); otherwise they come
+    from the bipartite row/column graph and each block is solved through
+    its Gram matrix on the smaller side.  Non-finite entries raise
+    DomainError.
+    """
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    if m.size == 0:
+    if not np.isfinite(m).all():
+        raise DomainError("operator norm of a matrix with non-finite entries")
+    herm = m.shape[0] == m.shape[1] and _nearly_hermitian(m)
+    nz = m != 0
+    if herm:
+        nz = nz | nz.T
+        rows = cols = np.flatnonzero(nz.any(axis=0))
+    else:
+        rows = np.flatnonzero(nz.any(axis=1))
+        cols = np.flatnonzero(nz.any(axis=0))
+    nnz = np.count_nonzero(nz)
+    if nnz == 0:
         return 0.0
-    if _nearly_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
-    gram = m.conj().T @ m
-    top = np.linalg.eigvalsh(gram)[-1]
+    if nnz == rows.size * cols.size:
+        return _stack_norm(m[np.ix_(rows, cols)], herm)
+    row_lab, col_lab = _pattern_components(nz[np.ix_(rows, cols)], herm)
+    nr = np.bincount(row_lab)
+    nc = np.bincount(col_lab)
+    row_order = rows[np.argsort(row_lab, kind="stable")]
+    col_order = cols[np.argsort(col_lab, kind="stable")]
+    row_start = np.cumsum(nr) - nr
+    col_start = np.cumsum(nc) - nc
+    best = 0.0
+    for p, q in set(zip(nr.tolist(), nc.tolist())):
+        comps = np.flatnonzero((nr == p) & (nc == q))
+        ri = row_order[row_start[comps, None] + np.arange(p)]
+        ci = col_order[col_start[comps, None] + np.arange(q)]
+        best = max(best, _stack_norm(m[ri[:, :, None], ci[:, None, :]], herm))
+    return best
+
+
+def _pattern_components(pattern, herm):
+    """Component labels of the rows and columns of a boolean pattern: of the
+    symmetric graph when ``herm``, else of the bipartite row/column graph."""
+    n_rows, n_cols = pattern.shape
+    i, j = np.nonzero(pattern)
+    nodes = n_rows if herm else n_rows + n_cols
+    indptr = np.full(nodes + 1, i.size)
+    indptr[0] = 0
+    indptr[1:n_rows + 1] = np.cumsum(np.bincount(i, minlength=n_rows))
+    graph = csr_matrix((np.ones(i.size), j if herm else j + n_rows, indptr),
+                       shape=(nodes, nodes))
+    labels = connected_components(graph, directed=False)[1]
+    return (labels, labels) if herm else (labels[:n_rows], labels[n_rows:])
+
+
+def _stack_norm(blocks, herm):
+    """Largest spectral norm over one matrix or a stack of equal-shape ones."""
+    if blocks.shape[-2:] == (1, 1):
+        return float(np.abs(blocks.real if herm else blocks).max())
+    if herm:
+        return float(np.abs(np.linalg.eigvalsh(blocks)).max())
+    adj = np.swapaxes(blocks.conj(), -1, -2)
+    gram = adj @ blocks if blocks.shape[-1] <= blocks.shape[-2] else blocks @ adj
+    top = np.linalg.eigvalsh(gram)[..., -1].max()
     return float(np.sqrt(max(top, 0.0)))
 
 

@@ -98,6 +98,18 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert out.startswith("FAIL:")
 
+    @pytest.mark.parametrize("command", ["op-prop", "quasi-check"])
+    def test_non_finite_operator_is_a_precondition_error(
+            self, tmp_path, outdir, capsys, command):
+        d = np.full((3, 3), 1.0)
+        np.fill_diagonal(d, 0.0)
+        space = SampledSpace.from_distance_matrix(d)
+        sf = write(tmp_path / "space.txt", dumps_space(space))
+        nan = FiniteOperator(space, np.full((3, 3), np.nan, dtype=complex))
+        nf = write(tmp_path / "nan.txt", dumps_operator(nan))
+        assert main([command, sf, nf, "--out", outdir]) == 3
+        assert capsys.readouterr().err.startswith("FAIL:")
+
     def test_k0_points(self, tmp_path, outdir, rng):
         d = np.full((4, 4), 1.0)
         np.fill_diagonal(d, 0.0)
