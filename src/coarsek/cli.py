@@ -5,6 +5,9 @@ One subcommand per invocation; numeric knobs come from flags or from a
 fixed seed and are written atomically into the output directory.  Exit
 codes: 0 success, 1 verification failure (with a FAIL: line), 2 parse
 errors, 3 precondition violations.
+
+Every subcommand but ``report`` is a ``COMMANDS`` row: positional files and
+a handler returning an ``Outcome``, which ``run`` writes as the report.
 """
 
 from __future__ import annotations
@@ -12,19 +15,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from typing import NamedTuple
 
 from . import coarse, controlled, mv, paths, serialize
-from .errors import (
-    CertificateError,
-    CoarsekError,
-    MalformedInputError,
-    VerificationFailure,
-)
+from .errors import CoarsekError, MalformedInputError, VerificationFailure
 from .geometry import discretize
 from .operator import opnorm, propagation, support
 
+# Each knob's flag and config value take the type of its default (steps: int).
 KNOB_DEFAULTS = {
     "epsilon": 0.1,
     "r": 0.25,
@@ -40,44 +38,191 @@ KNOB_DEFAULTS = {
 }
 
 
+# Exit code of an error: the first row whose type matches.
+EXIT_CODES = ((MalformedInputError, 2), (FileNotFoundError, 2),
+              (UnicodeDecodeError, 2), (VerificationFailure, 1), (CoarsekError, 3))
+
+
+class Outcome(NamedTuple):
+    """Report fields (after ``command``), an optional table, and the failure
+    message of a rejected verdict."""
+
+    fields: dict
+    table: list = None
+    failure: str = None
+
+
+def _load(loads, path, *context):
+    """Parse the file at ``path`` with a ``serialize.loads_*`` reader."""
+    with open(path, encoding="utf-8") as fh:
+        return loads(fh.read(), *context)
+
+
+def _write(out_dir, name, text):
+    os.makedirs(out_dir, exist_ok=True)
+    serialize.atomic_write(os.path.join(out_dir, name), text)
+
+
+def _load_operator(space_file, operator_file):
+    space = _load(serialize.loads_space, space_file)
+    return _load(serialize.loads_operator, operator_file, space)
+
+
+def _params(knobs):
+    return controlled.QuasiParams(knobs["epsilon"], knobs["r"])
+
+
+def _complex_validate(knobs, complex_file):
+    cx = _load(serialize.loads_complex, complex_file)
+    return Outcome({"vertices": len(cx.vertices),
+                    "simplices": len(cx.simplices),
+                    "dimension": cx.dimension,
+                    "face_closed": cx.faces_closed()})
+
+
+def _discretize(knobs, complex_file):
+    cx = _load(serialize.loads_complex, complex_file)
+    space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
+    _write(knobs["out"], "space.txt", serialize.dumps_space(space))
+    return Outcome({"mesh": knobs["mesh"], "points": len(space),
+                    "total_dim": space.total_dim,
+                    "space_hash": serialize.space_hash(space)})
+
+
+def _op_prop(knobs, space_file, operator_file):
+    op = _load_operator(space_file, operator_file)
+    prop = propagation(op, knobs["tau"])
+    return Outcome({"support_pairs": int(support(op, knobs["tau"]).sum()),
+                    "propagation": prop, "opnorm": opnorm(op)})
+
+
+def _quasi_check(knobs, space_file, operator_file):
+    op = _load_operator(space_file, operator_file)
+    test = controlled.is_quasi_projection if knobs["parity"] == "even" \
+        else controlled.is_quasi_unitary
+    ok, wit = test(op, _params(knobs), knobs["tau"])
+    return Outcome({"parity": knobs["parity"], "passed": ok, **wit},
+                   failure=None if ok else f"{knobs['parity']} quasi-test failed: {wit}")
+
+
+def _k0_points(knobs, space_file, operator_file):
+    op = _load_operator(space_file, operator_file)
+    classes = controlled.k0_points(op, _params(knobs), knobs["tau"])
+    return Outcome({"classes": " ".join(str(c) for c in classes)})
+
+
+def _certify_homotopy(knobs, space_file, certificate_file):
+    space = _load(serialize.loads_space, space_file)
+    cert = _load(serialize.loads_certificate, certificate_file, space)
+    ok, rep = controlled.verify_certificate(cert, knobs["tau"])
+    keys = ("samples", "worst_defect", "worst_propagation", "worst_step_margin")
+    return Outcome({"passed": ok, **{k: rep[k] for k in keys}},
+                   failure=None if ok else f"certificate rejected: {rep['failures'][:3]}")
+
+
+def _map_and_operator(source_space, target_space, map_file, operator_file):
+    src = _load(serialize.loads_space, source_space)
+    tgt = _load(serialize.loads_space, target_space)
+    f = _load(serialize.loads_coarse_map, map_file, src, tgt)
+    return f, _load(serialize.loads_operator, operator_file, src)
+
+
+def _coarse_ad(knobs, *files):
+    f, op = _map_and_operator(*files)
+    r = _params(knobs).r
+    out = coarse.ad(coarse.delta_cover(f, knobs["delta"]), op)
+    omega = coarse.expansion_function(f, r)
+    bound = omega + 2 * knobs["delta"]
+    prop_in = propagation(op, knobs["tau"])
+    prop_out = propagation(out, knobs["tau"])
+    _write(knobs["out"], "transported.txt", serialize.dumps_operator(out))
+    ok = not (prop_in < r) or prop_out < bound
+    return Outcome({"expansion": omega, "propagation_in": prop_in,
+                    "propagation_out": prop_out, "bound": bound,
+                    "passed": ok},
+                   table=[("propagation", prop_out, bound, bound - prop_out)],
+                   failure=None if ok else "transported propagation exceeds the bound")
+
+
+def _rotation_homotopy(knobs, *files):
+    f, op = _map_and_operator(*files)
+    params = _params(knobs)
+    v1 = coarse.delta_cover(f, knobs["delta"])
+    v2 = coarse.delta_cover(f, knobs["delta"], bias="pack-high")
+    cert = coarse.rotation_homotopy(v1, v2, op, params,
+                                    steps=knobs["steps"], tau=knobs["tau"])
+    ok, rep = controlled.verify_certificate(cert, knobs["tau"])
+    _write(knobs["out"], "certificate.txt", serialize.dumps_certificate(cert))
+    keys = ("samples", "worst_defect", "worst_propagation")
+    return Outcome({"passed": ok, **{k: rep[k] for k in keys},
+                    "ambient_r": cert.params.r},
+                   failure=None if ok else
+                   f"rotation certificate rejected: {rep['failures'][:3]}")
+
+
+def _mv_verify(knobs, complex_file):
+    cx = _load(serialize.loads_complex, complex_file)
+    space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
+    pair = mv.MvPair.from_decomposition(space, cx, r=knobs["r"])
+    rep = mv.verify_weak_mv_pair(space, pair, trials=knobs["trials"],
+                                 seed=knobs["seed"], eps=knobs["epsilon"],
+                                 tau=knobs["tau"])
+    keys = ("passed", "degree", "worst_split_ratio", "worst_cia_ratio",
+            "worst_reconstruction", "coercity_bound", "trials")
+    return Outcome({k: rep[k] for k in keys}, table=rep["table"],
+                   failure=None if rep["passed"] else
+                   "weak decomposition axioms violated; see report")
+
+
+def _clutching_index(knobs, space_file, operator_file, cut_file, region_file):
+    op = _load_operator(space_file, operator_file)
+    phi = mv.CutFunction(_load(serialize.loads_numbers, cut_file))
+    region = _load(serialize.loads_numbers, region_file, int) != 0
+    return Outcome({"index": mv.local_index(op, phi, region, knobs["tau"])})
+
+
+def _path_trim(knobs, space_file, path_file):
+    space = _load(serialize.loads_space, space_file)
+    path = _load(serialize.loads_path, path_file, space)
+    n = paths.eventual_propagation(path, knobs["r"], knobs["tau"])
+    trimmed = paths.trim(path, n)
+    _write(knobs["out"], "trimmed-path.txt", serialize.dumps_path(trimmed))
+    return Outcome({"trim_time": n, "samples_left": len(trimmed),
+                    "horizon": trimmed.horizon})
+
+
+_MAP_ARGS = ("source_space", "target_space", "map_file", "operator_file")
+
+COMMANDS = {
+    "complex-validate": (("complex_file",), _complex_validate),
+    "discretize": (("complex_file",), _discretize),
+    "op-prop": (("space_file", "operator_file"), _op_prop),
+    "quasi-check": (("space_file", "operator_file"), _quasi_check),
+    "k0-points": (("space_file", "operator_file"), _k0_points),
+    "certify-homotopy": (("space_file", "certificate_file"),
+                         _certify_homotopy),
+    "coarse-ad": (_MAP_ARGS, _coarse_ad),
+    "rotation-homotopy": (_MAP_ARGS, _rotation_homotopy),
+    "mv-verify": (("complex_file",), _mv_verify),
+    "clutching-index": (("space_file", "operator_file", "cut_file",
+                         "region_file"), _clutching_index),
+    "path-trim": (("space_file", "path_file"), _path_trim),
+}
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="coarsek",
         description="finite-matrix propagation-controlled operator toolbox")
     top.add_argument("--config", help="key = value defaults file")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name, *positional, help=None):
-        p = sub.add_parser(name, help=help)
+    for name, (positional, _) in COMMANDS.items():
+        p = sub.add_parser(name)
         for pos in positional:
             p.add_argument(pos)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--mesh", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--fiber", type=int)
-        p.add_argument("--parity", choices=("even", "odd"))
-        p.add_argument("--out")
-        return p
-
-    cmd("complex-validate", "complex_file")
-    cmd("discretize", "complex_file")
-    cmd("op-prop", "space_file", "operator_file")
-    cmd("quasi-check", "space_file", "operator_file")
-    cmd("k0-points", "space_file", "operator_file")
-    cmd("certify-homotopy", "space_file", "certificate_file")
-    cmd("coarse-ad", "source_space", "target_space", "map_file",
-        "operator_file")
-    cmd("rotation-homotopy", "source_space", "target_space", "map_file",
-        "operator_file")
-    cmd("mv-verify", "complex_file")
-    cmd("clutching-index", "space_file", "operator_file", "cut_file",
-        "region_file")
-    cmd("path-trim", "space_file", "path_file")
+        for key, default in KNOB_DEFAULTS.items():
+            p.add_argument(f"--{key}", type=int if default is None else type(default),
+                           choices=("even", "odd") if key == "parity" else None)
     rp = sub.add_parser("report", help="merge report files")
     rp.add_argument("inputs", nargs="*")
     rp.add_argument("--out")
@@ -92,250 +237,48 @@ def resolve_knobs(args):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, value = line.partition("=")
+                if not eq:
                     raise MalformedInputError(f"config line {ln}: expected key = value")
-                k, v = (part.strip() for part in line.split("=", 1))
-                config[k] = v
-    knobs = {}
+                config[key.strip()] = (ln, value.strip())
+    knobs = dict(KNOB_DEFAULTS)
     for key, default in KNOB_DEFAULTS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             knobs[key] = flag
         elif key in config:
-            raw = config[key]
-            caster = type(default) if default is not None else float
-            knobs[key] = raw if isinstance(default, str) else caster(raw)
-        else:
-            knobs[key] = default
-    if knobs["steps"] is not None:
-        knobs["steps"] = int(knobs["steps"])
+            ln, raw = config[key]
+            try:
+                knobs[key] = int(float(raw)) if default is None else type(default)(raw)
+            except (ValueError, OverflowError) as exc:
+                raise MalformedInputError(
+                    f"config line {ln}: bad {key} value {raw!r}") from exc
     return knobs
 
 
-def _emit(knobs, name, fields, table=None):
-    os.makedirs(knobs["out"], exist_ok=True)
-    path = os.path.join(knobs["out"], f"{name}.report.txt")
-    serialize.atomic_write(path, serialize.dumps_report(fields, table))
-    return path
-
-
-def _load_space(path):
-    return serialize.loads_space(_read_file(path))
-
-
-def _read_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _params(knobs):
-    return controlled.QuasiParams(knobs["epsilon"], knobs["r"])
+def _merge_reports(inputs, out_dir):
+    if not inputs:
+        raise MalformedInputError("report needs at least one input")
+    sections = [(os.path.basename(path), *_load(serialize.loads_report, path))
+                for path in inputs]
+    _write(out_dir or ".", "merged.report.txt",
+           serialize.dumps_merged_report(sections))
+    return 0
 
 
 def run(args):
     knobs = resolve_knobs(args)
-    command = args.command
-
-    if command == "complex-validate":
-        cx = serialize.loads_complex(_read_file(args.complex_file))
-        fields = {
-            "command": command,
-            "vertices": len(cx.vertices),
-            "simplices": len(cx.simplices),
-            "dimension": cx.dimension,
-            "face_closed": cx.faces_closed(),
-        }
-        _emit(knobs, command, fields)
-        return 0
-
-    if command == "discretize":
-        cx = serialize.loads_complex(_read_file(args.complex_file))
-        space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
-        os.makedirs(knobs["out"], exist_ok=True)
-        serialize.atomic_write(os.path.join(knobs["out"], "space.txt"),
-                               serialize.dumps_space(space))
-        _emit(knobs, command, {
-            "command": command,
-            "mesh": knobs["mesh"],
-            "points": len(space),
-            "total_dim": space.total_dim,
-            "space_hash": serialize.space_hash(space),
-        })
-        return 0
-
-    if command == "op-prop":
-        space = _load_space(args.space_file)
-        op = serialize.loads_operator(_read_file(args.operator_file), space)
-        prop = propagation(op, knobs["tau"])
-        _emit(knobs, command, {
-            "command": command,
-            "support_pairs": int(support(op, knobs["tau"]).sum()),
-            "propagation": prop,
-            "opnorm": opnorm(op),
-        })
-        return 0
-
-    if command == "quasi-check":
-        space = _load_space(args.space_file)
-        op = serialize.loads_operator(_read_file(args.operator_file), space)
-        params = _params(knobs)
-        test = controlled.is_quasi_projection if knobs["parity"] == "even" \
-            else controlled.is_quasi_unitary
-        ok, wit = test(op, params, knobs["tau"])
-        fields = {"command": command, "parity": knobs["parity"],
-                  "passed": ok, **wit}
-        _emit(knobs, command, fields)
-        if not ok:
-            print(f"FAIL: {knobs['parity']} quasi-test failed: {wit}")
-            return 1
-        return 0
-
-    if command == "k0-points":
-        space = _load_space(args.space_file)
-        op = serialize.loads_operator(_read_file(args.operator_file), space)
-        classes = controlled.k0_points(op, _params(knobs), knobs["tau"])
-        _emit(knobs, command, {
-            "command": command,
-            "classes": " ".join(str(c) for c in classes),
-        })
-        return 0
-
-    if command == "certify-homotopy":
-        space = _load_space(args.space_file)
-        cert = serialize.loads_certificate(
-            _read_file(args.certificate_file), space)
-        ok, rep = controlled.verify_certificate(cert, knobs["tau"])
-        fields = {"command": command, "passed": ok,
-                  "samples": rep["samples"],
-                  "worst_defect": rep["worst_defect"],
-                  "worst_propagation": rep["worst_propagation"],
-                  "worst_step_margin": rep["worst_step_margin"]}
-        _emit(knobs, command, fields)
-        if not ok:
-            print(f"FAIL: certificate rejected: {rep['failures'][:3]}")
-            return 1
-        return 0
-
-    if command in ("coarse-ad", "rotation-homotopy"):
-        src = _load_space(args.source_space)
-        tgt = _load_space(args.target_space)
-        f = serialize.loads_coarse_map(_read_file(args.map_file), src, tgt)
-        op = serialize.loads_operator(_read_file(args.operator_file), src)
-        params = _params(knobs)
-        if command == "coarse-ad":
-            cover = coarse.delta_cover(f, knobs["delta"])
-            out = coarse.ad(cover, op)
-            omega = coarse.expansion_function(f, params.r)
-            bound = omega + 2 * knobs["delta"]
-            prop_in = propagation(op, knobs["tau"])
-            prop_out = propagation(out, knobs["tau"])
-            os.makedirs(knobs["out"], exist_ok=True)
-            serialize.atomic_write(
-                os.path.join(knobs["out"], "transported.txt"),
-                serialize.dumps_operator(out))
-            ok = not (prop_in < params.r) or prop_out < bound
-            _emit(knobs, command, {
-                "command": command, "expansion": omega,
-                "propagation_in": prop_in, "propagation_out": prop_out,
-                "bound": bound, "passed": ok,
-            }, table=[("propagation", prop_out, bound, bound - prop_out)])
-            if not ok:
-                print("FAIL: transported propagation exceeds the bound")
-                return 1
-            return 0
-        v1 = coarse.delta_cover(f, knobs["delta"])
-        v2 = coarse.delta_cover(f, knobs["delta"], bias="pack-high")
-        cert = coarse.rotation_homotopy(v1, v2, op, params,
-                                        steps=knobs["steps"],
-                                        tau=knobs["tau"])
-        ok, rep = controlled.verify_certificate(cert, knobs["tau"])
-        os.makedirs(knobs["out"], exist_ok=True)
-        serialize.atomic_write(
-            os.path.join(knobs["out"], "certificate.txt"),
-            serialize.dumps_certificate(cert))
-        _emit(knobs, command, {
-            "command": command, "passed": ok,
-            "samples": rep["samples"],
-            "worst_defect": rep["worst_defect"],
-            "worst_propagation": rep["worst_propagation"],
-            "ambient_r": cert.params.r,
-        })
-        if not ok:
-            print(f"FAIL: rotation certificate rejected: {rep['failures'][:3]}")
-            return 1
-        return 0
-
-    if command == "mv-verify":
-        cx = serialize.loads_complex(_read_file(args.complex_file))
-        space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
-        pair = mv.MvPair.from_decomposition(space, cx, r=knobs["r"])
-        rep = mv.verify_weak_mv_pair(space, pair, trials=knobs["trials"],
-                                     seed=knobs["seed"],
-                                     eps=knobs["epsilon"],
-                                     tau=knobs["tau"])
-        fields = {"command": command, "passed": rep["passed"],
-                  "degree": rep["degree"],
-                  "worst_split_ratio": rep["worst_split_ratio"],
-                  "worst_cia_ratio": rep["worst_cia_ratio"],
-                  "worst_reconstruction": rep["worst_reconstruction"],
-                  "coercity_bound": rep["coercity_bound"],
-                  "trials": rep["trials"]}
-        _emit(knobs, command, fields, table=rep["table"])
-        if not rep["passed"]:
-            print("FAIL: weak decomposition axioms violated; see report")
-            return 1
-        return 0
-
-    if command == "clutching-index":
-        space = _load_space(args.space_file)
-        op = serialize.loads_operator(_read_file(args.operator_file), space)
-        values = np.array([float(t) for t in
-                           _read_file(args.cut_file).split()])
-        region = np.array([bool(int(t)) for t in
-                           _read_file(args.region_file).split()])
-        phi = mv.CutFunction(values)
-        idx = mv.local_index(op, phi, region, knobs["tau"])
-        _emit(knobs, command, {"command": command, "index": idx})
-        return 0
-
-    if command == "path-trim":
-        space = _load_space(args.space_file)
-        path = serialize.loads_path(_read_file(args.path_file), space)
-        n = paths.eventual_propagation(path, knobs["r"], knobs["tau"])
-        trimmed = paths.trim(path, n)
-        os.makedirs(knobs["out"], exist_ok=True)
-        serialize.atomic_write(
-            os.path.join(knobs["out"], "trimmed-path.txt"),
-            serialize.dumps_path(trimmed))
-        _emit(knobs, command, {
-            "command": command, "trim_time": n,
-            "samples_left": len(trimmed), "horizon": trimmed.horizon,
-        })
-        return 0
-
-    if command == "report":
-        if not args.inputs:
-            print("FAIL: report needs at least one input", file=sys.stderr)
-            return 2
-        sections = []
-        for path in args.inputs:
-            fields, table = serialize.loads_report(_read_file(path))
-            sections.append((os.path.basename(path), fields, table))
-        out_dir = args.out or "."
-        os.makedirs(out_dir, exist_ok=True)
-        lines = ["coarsek-report v1", f"sections: {len(sections)}"]
-        for name, fields, table in sections:
-            lines.append(f"## {name}")
-            lines.extend(f"{k}: {v}" for k, v in fields.items())
-            if table:
-                lines.append("[table]")
-                lines.append("quantity\tvalue\tbound\tmargin")
-                lines.extend("\t".join(str(c) for c in row) for row in table)
-        serialize.atomic_write(os.path.join(out_dir, "merged.report.txt"),
-                               "\n".join(lines) + "\n")
-        return 0
-
-    raise MalformedInputError(f"unknown command {command}")
+    if args.command not in COMMANDS:
+        return _merge_reports(args.inputs, args.out)
+    positional, handler = COMMANDS[args.command]
+    fields, table, failure = handler(
+        knobs, *(getattr(args, name) for name in positional))
+    _write(knobs["out"], f"{args.command}.report.txt",
+           serialize.dumps_report({"command": args.command, **fields}, table))
+    if failure:
+        print(f"FAIL: {failure}")
+        return 1
+    return 0
 
 
 def main(argv=None):
@@ -346,15 +289,9 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return run(args)
-    except (MalformedInputError, FileNotFoundError) as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
-        return 2
-    except VerificationFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    except (CertificateError, CoarsekError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -353,13 +353,6 @@ class LipschitzHomotopy:
             else measured
         self.measured_lipschitz = measured
 
-    def check_table(self):
-        for i, bound in enumerate(self.displacement_table):
-            actual = self.frames[i].displacement(self.frames[i + 1])
-            if actual > bound:
-                return False, i
-        return True, None
-
 
 def _cyclic_fraction(m, s):
     """Fractional power of the m-cycle block shift e_j -> e_{j+1}, exactly

@@ -30,8 +30,10 @@ from .errors import (
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
+    coordinates_of,
     direct_sum,
     herm_defect,
+    nearly_hermitian,
     opnorm,
     propagation,
 )
@@ -59,7 +61,7 @@ class QuasiParams:
 def projection_defect(op):
     """||p^2 - p|| of the concrete matrix."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    if np.linalg.norm(m - m.conj().T) <= 1e-13 * max(1.0, np.linalg.norm(m)):
+    if nearly_hermitian(m):
         lam = np.linalg.eigvalsh(m)
         return float(np.abs(lam * lam - lam).max(initial=0.0))
     return opnorm(m @ m - m)
@@ -270,7 +272,7 @@ def k0_points(p, params, tau=DEFAULT_TAU, ell=None, r0=None):
     m = p.concrete()
     classes = np.zeros(n, dtype=int)
     for j in range(n):
-        coords = p._coords_of_point(j)
+        coords = coordinates_of(space, p.amplification, [j])
         others = np.setdiff1d(np.arange(p.dim), coords)
         if others.size and np.abs(m[np.ix_(coords, others)]).max(initial=0.0) > tau:
             raise PropagationError(

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError
-from .operator import FiniteOperator, expand_point_mask, opnorm
+from .operator import FiniteOperator, coordinates_of, expand_point_mask, opnorm
 
 
 def rng_from(seed):
@@ -138,7 +138,6 @@ def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02,
         raise DomainError("one rank per point required")
     n = amplification * space.total_dim
     m = np.zeros((n, n), dtype=complex)
-    D = space.total_dim
     for j in range(len(space)):
         d = int(space.internal_dims[j]) * amplification
         if not 0 <= ranks[j] <= d:
@@ -150,9 +149,7 @@ def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02,
         h = (h + h.conj().T) / 2
         h *= noise / max(opnorm(h), 1e-15)
         block = (q * diag) @ q.conj().T + h
-        off = space.offsets[j]
-        coords = np.concatenate([a * D + off + np.arange(space.internal_dims[j])
-                                 for a in range(amplification)])
+        coords = coordinates_of(space, amplification, [j])
         m[np.ix_(coords, coords)] = block
     return FiniteOperator(space, m, amplification)
 

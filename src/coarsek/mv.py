@@ -327,6 +327,8 @@ def local_index(u, phi, region, tau=DEFAULT_TAU):
     """Rounded partial trace of chi(p(u, phi)) - chi(p(1, phi)) over one cut
     region; integral within 0.1, else the detector reports itself
     inconclusive (refine the mesh or shrink the propagation)."""
+    if np.shape(region) != (len(u.space),):
+        raise DomainError("region must have one entry per sample point")
     p_u = clutching_projection(u, phi)
     one = FiniteOperator.identity(u.space, u.amplification, unitized=False)
     p_1 = clutching_projection(one, phi)

@@ -87,16 +87,9 @@ class FiniteOperator:
 
     def block(self, y, x):
         """The (k*d_y, k*d_x) submatrix of the concrete operator at a point pair."""
-        rows = self._coords_of_point(y)
-        cols = self._coords_of_point(x)
+        rows = coordinates_of(self.space, self.amplification, [y])
+        cols = coordinates_of(self.space, self.amplification, [x])
         return self.concrete()[np.ix_(rows, cols)]
-
-    def _coords_of_point(self, i):
-        D = self.space.total_dim
-        off = self.space.offsets[i]
-        d = self.space.internal_dims[i]
-        return np.concatenate([a * D + off + np.arange(d)
-                               for a in range(self.amplification)])
 
     # -- algebra -----------------------------------------------------------
 
@@ -148,7 +141,19 @@ class FiniteOperator:
     H = property(adjoint)
 
 
-def _nearly_hermitian(m, tol=1e-13):
+def coordinates_of(space, amplification, points, dims=None):
+    """Copy-major coordinates of the leading ``dims[i]`` (default: all)
+    fiber coordinates of each listed point, copy 0 first and points in the
+    given order within each copy."""
+    points = np.asarray(points, dtype=int)
+    d = (space.internal_dims if dims is None else np.asarray(dims))[points]
+    starts = np.cumsum(d) - d  # where each point's run begins within a copy
+    one_copy = np.arange(d.sum()) + np.repeat(space.offsets[points] - starts, d)
+    copies = np.arange(amplification)[:, None] * space.total_dim
+    return (copies + one_copy).ravel()
+
+
+def nearly_hermitian(m, tol=1e-13):
     return np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m))
 
 
@@ -172,7 +177,7 @@ def opnorm(op):
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
     if not np.isfinite(m).all():
         raise DomainError("operator norm of a matrix with non-finite entries")
-    herm = m.shape[0] == m.shape[1] and _nearly_hermitian(m)
+    herm = m.shape[0] == m.shape[1] and nearly_hermitian(m)
     nz = m != 0
     if herm:
         nz = nz | nz.T
@@ -323,25 +328,17 @@ def compress(op, keep_points, keep_dims=None):
     if keep_points.all() and (dims == op.space.internal_dims).all():
         return op
     sub, idx = op.space.subspace(keep_points, internal_dims=dims[keep_points])
-    D = op.space.total_dim
-    coords = np.concatenate([
-        a * D + op.space.offsets[i] + np.arange(dims[i])
-        for a in range(op.amplification) for i in idx]) \
-        if len(idx) else np.empty(0, dtype=int)
+    coords = coordinates_of(op.space, op.amplification, idx, dims)
     cut = op.entries[np.ix_(coords, coords)]
     return FiniteOperator(sub, cut, op.amplification, op.scalar)
 
 
 def fiber_projection(space, amplification, keep_points, keep_dims=None):
     """Concrete 0/1 diagonal of the compression projection Q on the big space."""
-    keep_points = np.asarray(keep_points, dtype=bool)
-    dims = space.internal_dims if keep_dims is None \
-        else np.asarray(keep_dims, dtype=int)
-    diag = np.zeros(space.total_dim)
-    for i in np.flatnonzero(keep_points):
-        off = space.offsets[i]
-        diag[off:off + dims[i]] = 1.0
-    return np.diag(np.tile(diag, amplification)).astype(complex)
+    kept = np.flatnonzero(np.asarray(keep_points, dtype=bool))
+    diag = np.zeros(amplification * space.total_dim, dtype=complex)
+    diag[coordinates_of(space, amplification, kept, keep_dims)] = 1.0
+    return np.diag(diag)
 
 
 def direct_sum(ops):

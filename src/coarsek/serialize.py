@@ -6,6 +6,11 @@ infinite distances appear as the literal token ``inf``.  Files are written
 atomically (temp file + rename) and every format starts with a tagged
 version line.  Operators reference their space by a content hash and can
 only be loaded against a space with the same hash.
+
+The readers are strict and share one line cursor: a missing line, a wrong
+tag or key, a bad number, a wrong token count, a negative count or a
+trailing line raises MalformedInputError naming the line.  No reader
+allocates from a header count before the lines it announces are read.
 """
 
 from __future__ import annotations
@@ -46,18 +51,88 @@ def atomic_write(path, text):
         raise
 
 
-def _read(path_or_text):
-    s = os.fspath(path_or_text) if not isinstance(path_or_text, str) \
-        else path_or_text
-    if isinstance(s, str) and "\n" not in s and os.path.exists(s):
-        with open(s, encoding="utf-8") as fh:
-            return fh.read()
-    return s
+class _Reader:
+    """Line cursor over a text; every fault names the line it is on."""
+
+    def __init__(self, text):
+        self.lines = text.splitlines()
+        self.at = 0  # lines read so far, so the current line is ``at``
+
+    def error(self, message):
+        return MalformedInputError(f"line {self.at}: {message}")
+
+    def line(self):
+        self.at += 1
+        if self.at > len(self.lines):
+            raise self.error("unexpected end of file")
+        return self.lines[self.at - 1]
+
+    def rest(self):
+        while self.at < len(self.lines):
+            yield self.line()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failed, *_):
+        if failed is None:  # only blank lines may follow a whole record
+            for line in self.rest():
+                if line.strip():
+                    raise self.error(f"unexpected line {line.strip()[:40]!r}")
+
+    def tag(self, tag):
+        found = self.line().strip()
+        if found != tag:
+            raise self.error(f"expected {tag!r}, found {found[:40]!r}")
+
+    def field(self, key, convert=str):
+        name, colon, value = self.line().partition(":")
+        if not colon or name.strip() != key:
+            raise self.error(f"expected '{key}:'")
+        return self.cast(value.strip(), convert)
+
+    def records(self, label, count, parse, *args):
+        """``count`` records read by ``parse``, each after ``--- label i ---``."""
+        records = []
+        for i in range(count):
+            self.tag(f"--- {label} {i} ---")
+            records.append(parse(self, *args))
+        return records
+
+    def numbers(self, dtype=float, count=None):
+        return self.cast(self.line(), lambda s: _numbers(s, dtype, count))
+
+    def cast(self, text, convert):
+        try:
+            return convert(text)
+        except (ValueError, OverflowError) as exc:
+            raise self.error(exc) from exc
 
 
-def _expect(line, tag):
-    if line.strip() != tag:
-        raise MalformedInputError(f"expected {tag!r}, found {line.strip()!r}")
+def _numbers(text, dtype=float, count=None):
+    """Whitespace-separated numbers in one numpy conversion; a complex number
+    is an ``re im`` pair, and ``count`` is the expected length."""
+    tokens = text.split()
+    width = 2 if dtype is complex else 1
+    if count is not None and len(tokens) != width * count:
+        raise ValueError(f"expected {width * count} numbers, found {len(tokens)}")
+    if len(tokens) % width:
+        raise ValueError(f"odd re/im count {len(tokens)}")
+    values = np.array(tokens, dtype=float if width == 2 else dtype)
+    return values.view(complex) if width == 2 else values
+
+
+def _records(label, records, dump):
+    for i, record in enumerate(records):
+        yield f"--- {label} {i} ---"
+        yield dump(record).rstrip("\n")
+
+
+def _count(text):
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
 
 
 # -- complexes ---------------------------------------------------------------
@@ -70,15 +145,9 @@ def dumps_complex(complex_):
 
 def loads_complex(text):
     """One maximal simplex per line, whitespace-separated vertex ids."""
-    simplices = []
-    for ln, line in enumerate(_read(text).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            simplices.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise MalformedInputError(f"line {ln}: {exc}") from exc
+    rd = _Reader(text)
+    simplices = [rd.cast(line, lambda s: _numbers(s, int).tolist()) for line in rd.rest()
+                 if line.strip() and not line.lstrip().startswith("#")]
     if not simplices:
         raise MalformedInputError("no simplices in complex file")
     return build_complex(simplices)
@@ -96,27 +165,38 @@ def dumps_space(space):
         coords = ",".join(_fmt(c) for c in p.coords)
         out.append(f"{i} {carrier} {coords} {space.internal_dims[i]}")
     out.append("dist:")
-    for row in space.dist:
-        out.append(" ".join(_fmt(v) for v in row))
+    out.extend(" ".join(_fmt(v) for v in row) for row in space.dist)
     return "\n".join(out) + "\n"
 
 
+# A dense operator over one fiber of this dimension alone would take 64 GiB.
+_MAX_FIBER_DIM = 1 << 16
+
+
 def loads_space(text):
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-space v1")
-    mesh_tok = lines[1].split(":", 1)[1].strip()
-    mesh = None if mesh_tok == "none" else float(mesh_tok)
-    n = int(lines[2].split(":", 1)[1])
-    points, dims = [], []
-    for i in range(n):
-        _, carrier, coords, d = lines[3 + i].split()
-        points.append(SamplePoint(tuple(int(v) for v in carrier.split(",")),
-                                  tuple(float(c) for c in coords.split(","))))
-        dims.append(int(d))
-    _expect(lines[3 + n], "dist:")
-    dist = np.array([[float(tok) for tok in lines[4 + n + i].split()]
-                     for i in range(n)])
+    with _Reader(text) as rd:
+        rd.tag("coarsek-space v1")
+        mesh = rd.field("mesh", lambda s: None if s == "none" else float(s))
+        n = rd.field("points", _count)
+        points, dims = [], []
+        for i in range(n):
+            idx, point, d = rd.cast(rd.line(), _sample)
+            if idx != i or not 1 <= d <= _MAX_FIBER_DIM:
+                raise rd.error(f"sample {idx} of fiber dimension {d}; expected"
+                               f" sample {i} of dimension 1..{_MAX_FIBER_DIM}")
+            points.append(point)
+            dims.append(d)
+        rd.tag("dist:")
+        dist = np.array([rd.numbers(float, n) for _ in range(n)])
     return SampledSpace(points, dist, dims, mesh=mesh)
+
+
+def _sample(line):
+    """``id carrier coords dim`` -> (id, SamplePoint, dim)."""
+    idx, carrier, coords, d = line.split()
+    point = SamplePoint(tuple(int(v) for v in carrier.split(",")),
+                        tuple(float(c) for c in coords.split(",")))
+    return int(idx), point, int(d)
 
 
 def space_hash(space):
@@ -128,47 +208,37 @@ def space_hash(space):
 
 
 def dumps_operator(op):
+    scalar = "none" if op.scalar is None \
+        else " ".join(_fmt_complex(z) for z in op.scalar)
     out = ["coarsek-operator v1",
            f"space: {space_hash(op.space)}",
-           f"amplification: {op.amplification}"]
-    if op.scalar is None:
-        out.append("scalar: none")
-    else:
-        out.append("scalar: " + " ".join(_fmt_complex(z) for z in op.scalar))
-    out.append(f"dim: {op.dim}")
-    out.append("entries:")
-    for row in op.entries:
-        out.append(" ".join(_fmt_complex(z) for z in row))
+           f"amplification: {op.amplification}",
+           f"scalar: {scalar}",
+           f"dim: {op.dim}",
+           "entries:"]
+    out.extend(" ".join(_fmt_complex(z) for z in row) for row in op.entries)
     return "\n".join(out) + "\n"
 
 
 def loads_operator(text, space):
-    lines = _read(text).splitlines()
-    return _parse_operator(lines, 0, space)[0]
+    with _Reader(text) as rd:
+        return _parse_operator(rd, space)
 
 
-def _parse_operator(lines, at, space):
-    _expect(lines[at], "coarsek-operator v1")
-    ref = lines[at + 1].split(":", 1)[1].strip()
-    have = space_hash(space)
+def _parse_operator(rd, space):
+    rd.tag("coarsek-operator v1")
+    ref, have = rd.field("space"), space_hash(space)
     if ref != have:
-        raise MalformedInputError(
+        raise rd.error(
             f"operator references space {ref}, supplied space hashes to {have}")
-    k = int(lines[at + 2].split(":", 1)[1])
-    scal_tok = lines[at + 3].split(":", 1)[1].strip()
-    if scal_tok == "none":
-        scalar = None
-    else:
-        vals = [float(t) for t in scal_tok.split()]
-        scalar = np.array([complex(a, b) for a, b in zip(vals[::2], vals[1::2])])
-    n = int(lines[at + 4].split(":", 1)[1])
-    _expect(lines[at + 5], "entries:")
-    rows = []
-    for i in range(n):
-        vals = [float(t) for t in lines[at + 6 + i].split()]
-        rows.append([complex(a, b) for a, b in zip(vals[::2], vals[1::2])])
-    op = FiniteOperator(space, np.array(rows, dtype=complex), k, scalar)
-    return op, at + 6 + n
+    k = rd.field("amplification", _count)
+    scalar = rd.field("scalar", lambda s: None if s == "none" else _numbers(s, complex, k))
+    n = rd.field("dim", _count)
+    if k < 1 or n != k * space.total_dim:
+        raise rd.error(f"dim {n} for amplification {k} over dimension {space.total_dim}")
+    rd.tag("entries:")
+    entries = np.array([rd.numbers(complex, n) for _ in range(n)])
+    return FiniteOperator(space, entries, k, scalar)
 
 
 # -- class representatives and certificates ----------------------------------
@@ -185,14 +255,13 @@ def dumps_kclass(rep):
 
 
 def loads_kclass(text, space):
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-kclass v1")
-    parity = lines[1].split(":", 1)[1].strip()
-    eps = float(lines[2].split(":", 1)[1])
-    r = float(lines[3].split(":", 1)[1])
-    ell = int(lines[4].split(":", 1)[1])
-    _expect(lines[5], "operator:")
-    op, _ = _parse_operator(lines, 6, space)
+    with _Reader(text) as rd:
+        rd.tag("coarsek-kclass v1")
+        parity = rd.field("parity")
+        eps, r = rd.field("epsilon", float), rd.field("r", float)
+        ell = rd.field("ell", int)
+        rd.tag("operator:")
+        op = _parse_operator(rd, space)
     return KClassRep(parity, op, QuasiParams(eps, r), ell)
 
 
@@ -202,28 +271,19 @@ def dumps_certificate(cert):
            f"epsilon: {_fmt(cert.params.eps)}",
            f"r: {_fmt(cert.params.r)}",
            f"samples: {len(cert.samples)}",
-           "step_bounds: " + " ".join(_fmt(b) for b in cert.step_bounds)]
-    for i, s in enumerate(cert.samples):
-        out.append(f"--- sample {i} ---")
-        out.append(dumps_operator(s).rstrip("\n"))
+           "step_bounds: " + " ".join(_fmt(b) for b in cert.step_bounds),
+           *_records("sample", cert.samples, dumps_operator)]
     return "\n".join(out) + "\n"
 
 
 def loads_certificate(text, space):
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-certificate v1")
-    parity = lines[1].split(":", 1)[1].strip()
-    eps = float(lines[2].split(":", 1)[1])
-    r = float(lines[3].split(":", 1)[1])
-    count = int(lines[4].split(":", 1)[1])
-    toks = lines[5].split(":", 1)[1].split()
-    bounds = [float(t) for t in toks]
-    samples = []
-    at = 6
-    for i in range(count):
-        _expect(lines[at], f"--- sample {i} ---")
-        op, at = _parse_operator(lines, at + 1, space)
-        samples.append(op)
+    with _Reader(text) as rd:
+        rd.tag("coarsek-certificate v1")
+        parity = rd.field("parity")
+        eps, r = rd.field("epsilon", float), rd.field("r", float)
+        count = rd.field("samples", _count)
+        bounds = rd.field("step_bounds", _numbers).tolist()
+        samples = rd.records("sample", count, _parse_operator, space)
     return HomotopyCertificate(parity, samples, QuasiParams(eps, r), bounds)
 
 
@@ -240,19 +300,24 @@ def dumps_coarse_map(f):
 
 
 def loads_coarse_map(text, source, target):
+    with _Reader(text) as rd:
+        return _parse_coarse_map(rd, source, target)
+
+
+def _parse_coarse_map(rd, source, target):
     from .coarse import CoarseMap
 
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-map v1")
-    for label, space, ln in (("source", source, 1), ("target", target, 2)):
-        ref = lines[ln].split(":", 1)[1].strip()
-        if ref != space_hash(space):
-            raise MalformedInputError(f"{label} space hash mismatch")
-    n = int(lines[3].split(":", 1)[1])
-    assignment = np.zeros(n, dtype=int)
+    rd.tag("coarsek-map v1")
+    for label, space in (("source", source), ("target", target)):
+        if rd.field(label) != space_hash(space):
+            raise rd.error(f"{label} space hash mismatch")
+    n = rd.field("points", _count)
+    assignment = []
     for i in range(n):
-        a, b = lines[4 + i].split()
-        assignment[int(a)] = int(b)
+        row, image = rd.numbers(int, 2).tolist()
+        if row != i:
+            raise rd.error(f"row id {row}, expected {i}")
+        assignment.append(image)
     return CoarseMap(source, target, assignment)
 
 
@@ -260,28 +325,20 @@ def dumps_homotopy(hom):
     out = ["coarsek-homotopy v1",
            f"lipschitz: {_fmt(hom.lipschitz_bound)}",
            "displacements: " + " ".join(_fmt(d) for d in hom.displacement_table),
-           f"frames: {len(hom.frames)}"]
-    for i, f in enumerate(hom.frames):
-        out.append(f"--- frame {i} ---")
-        out.append(dumps_coarse_map(f).rstrip("\n"))
+           f"frames: {len(hom.frames)}",
+           *_records("frame", hom.frames, dumps_coarse_map)]
     return "\n".join(out) + "\n"
 
 
 def loads_homotopy(text, source, target):
     from .coarse import LipschitzHomotopy
 
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-homotopy v1")
-    lipschitz = float(lines[1].split(":", 1)[1])
-    count = int(lines[3].split(":", 1)[1])
-    frames = []
-    at = 4
-    for i in range(count):
-        _expect(lines[at], f"--- frame {i} ---")
-        block_len = 4 + len(source)
-        frames.append(loads_coarse_map(
-            "\n".join(lines[at + 1:at + 1 + block_len]), source, target))
-        at += 1 + block_len
+    with _Reader(text) as rd:
+        rd.tag("coarsek-homotopy v1")
+        lipschitz = rd.field("lipschitz", float)
+        rd.field("displacements", _numbers)  # recomputed from the frames
+        count = rd.field("frames", _count)
+        frames = rd.records("frame", count, _parse_coarse_map, source, target)
     return LipschitzHomotopy(frames, lipschitz_bound=lipschitz)
 
 
@@ -289,62 +346,74 @@ def dumps_path(path):
     out = ["coarsek-path v1",
            "times: " + " ".join(_fmt(t) for t in path.times),
            f"modulus: {_fmt(path.modulus)}",
-           f"horizon: {_fmt(path.horizon)}"]
-    for i, v in enumerate(path.values):
-        out.append(f"--- sample {i} ---")
-        out.append(dumps_operator(v).rstrip("\n"))
+           f"horizon: {_fmt(path.horizon)}",
+           *_records("sample", path.values, dumps_operator)]
     return "\n".join(out) + "\n"
 
 
 def loads_path(text, space):
     from .paths import PathOperator
 
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-path v1")
-    times = [float(t) for t in lines[1].split(":", 1)[1].split()]
-    modulus = float(lines[2].split(":", 1)[1])
-    values = []
-    at = 4
-    for i in range(len(times)):
-        _expect(lines[at], f"--- sample {i} ---")
-        op, at = _parse_operator(lines, at + 1, space)
-        values.append(op)
-    return PathOperator(np.array(times), values, modulus)
+    with _Reader(text) as rd:
+        rd.tag("coarsek-path v1")
+        times = rd.field("times", _numbers)
+        if not times.size:
+            raise rd.error("a path needs at least one time")
+        modulus = rd.field("modulus", float)
+        rd.field("horizon", float)  # the last time
+        values = rd.records("sample", len(times), _parse_operator, space)
+    return PathOperator(times, values, modulus)
 
 
 # -- reports -------------------------------------------------------------------
 
 
-def dumps_report(fields, table=None):
-    """key: value lines plus an optional plot-ready table."""
-    out = ["coarsek-report v1"]
-    for k, v in fields.items():
-        if isinstance(v, float):
-            v = _fmt(v)
-        out.append(f"{k}: {v}")
+def _report_lines(fields, table):
+    out = [f"{k}: {_fmt(v) if isinstance(v, float) else v}"
+           for k, v in fields.items()]
     if table:
         out.append("[table]")
         out.append("quantity\tvalue\tbound\tmargin")
-        for row in table:
-            out.append("\t".join(_fmt(v) if isinstance(v, float) else str(v)
-                                 for v in row[:4]))
+        out.extend("\t".join(_fmt(v) if isinstance(v, float) else str(v)
+                             for v in row[:4]) for row in table)
+    return out
+
+
+def dumps_report(fields, table=None):
+    """key: value lines plus an optional plot-ready table."""
+    return "\n".join(["coarsek-report v1", *_report_lines(fields, table)]) + "\n"
+
+
+def dumps_merged_report(sections):
+    """One report of ``(name, fields, table)`` sections, in order."""
+    out = ["coarsek-report v1", f"sections: {len(sections)}"]
+    for name, fields, table in sections:
+        out.append(f"## {name}")
+        out.extend(_report_lines(fields, table))
     return "\n".join(out) + "\n"
 
 
 def loads_report(text):
-    lines = _read(text).splitlines()
-    _expect(lines[0], "coarsek-report v1")
-    fields = {}
-    table = []
+    rd = _Reader(text)
+    rd.tag("coarsek-report v1")
+    fields, table = {}, []
     in_table = False
-    for line in lines[1:]:
+    for line in rd.rest():
         if line.strip() == "[table]":
             in_table = True
-            continue
-        if in_table:
+        elif in_table:
             if line.strip() and not line.startswith("quantity"):
                 table.append(line.split("\t"))
         elif line.strip():
-            k, v = line.split(":", 1)
-            fields[k.strip()] = v.strip()
+            key, colon, value = line.partition(":")
+            if not colon:
+                raise rd.error("expected 'key: value'")
+            fields[key.strip()] = value.strip()
     return fields, table
+
+
+def loads_numbers(text, dtype=float):
+    """Whitespace-separated numbers over any number of lines, as one array."""
+    rd = _Reader(text)
+    return np.concatenate([np.empty(0, dtype)] + [
+        rd.cast(line, lambda s: _numbers(s, dtype)) for line in rd.rest()])

@@ -254,3 +254,107 @@ class TestReportAndConfig:
              str(cx), "--out", str(tmp_path / "o")],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestStrictInputs:
+    """Malformed input exits 2 (parse) or 3 (precondition) with a FAIL:
+    line on stderr and no traceback."""
+
+    @staticmethod
+    def _files(tmp_path):
+        d = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+        space = SampledSpace.from_distance_matrix(d, internal_dims=[1, 2, 1])
+        p = FiniteOperator(space, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
+        q = FiniteOperator(space, np.diag([0.99, 0.0, 1.0, 0.0]).astype(complex))
+        from coarsek.serialize import dumps_certificate
+        texts = {
+            "space": dumps_space(space),
+            "operator": dumps_operator(p),
+            "certificate": dumps_certificate(
+                interpolation_certificate(p, q, QuasiParams(0.2, 1.5))),
+            "map": dumps_coarse_map(CoarseMap.identity(space)),
+            "path": dumps_path(PathOperator([1.0, 2.0], [p, q])),
+        }
+        return {k: write(tmp_path / f"{k}.txt", t) for k, t in texts.items()}
+
+    COMMANDS = {
+        "space": ("op-prop", ["space", "operator"]),
+        "operator": ("op-prop", ["space", "operator"]),
+        "certificate": ("certify-homotopy", ["space", "certificate"]),
+        "map": ("coarse-ad", ["space", "space", "map", "operator"]),
+        "path": ("path-trim", ["space", "path"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COMMANDS))
+    def test_every_truncation_exits_2(self, tmp_path, outdir, capsys, kind):
+        files = self._files(tmp_path)
+        command, inputs = self.COMMANDS[kind]
+        assert main([command, *(files[i] for i in inputs),
+                     "--out", outdir]) == 0
+        with open(files[kind], encoding="utf-8") as fh:
+            lines = fh.readlines()
+        for k in range(len(lines)):
+            files[kind] = write(tmp_path / f"cut-{k}.txt", "".join(lines[:k]))
+            capsys.readouterr()
+            code = main([command, *(files[i] for i in inputs),
+                         "--out", outdir])
+            assert code == 2, f"{kind} cut after {k} lines exited {code}"
+            assert capsys.readouterr().err.startswith("FAIL: line ")
+
+    def test_empty_times_in_path(self, tmp_path, outdir, capsys):
+        files = self._files(tmp_path)
+        text = open(files["path"], encoding="utf-8").read()
+        start = text.index("times:")
+        bad = write(tmp_path / "bad.txt",
+                    text[:start] + "times:" + text[text.index("\n", start):])
+        assert main(["path-trim", files["space"], bad, "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: line 2: ")
+
+    def test_input_that_is_not_utf8(self, tmp_path, outdir, capsys):
+        cx = tmp_path / "complex.txt"
+        cx.write_bytes(b"0 1\n\xff\xfe\n")
+        assert main(["complex-validate", str(cx), "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
+    def test_bad_config_value(self, tmp_path, outdir, capsys):
+        cx = write(tmp_path / "complex.txt", "0 1\n")
+        cfg = write(tmp_path / "knobs.cfg", "# knobs\nmesh = 0.5\nepsilon = abc\n")
+        assert main(["--config", cfg, "complex-validate", cx,
+                     "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: config line 3: ")
+
+
+class TestClutchingIndexInputs:
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        _, space, order = circle_space(16)
+        phi, region, _ = circle_cut(space, order)
+        return {
+            "space": write(tmp_path / "space.txt", dumps_space(space)),
+            "u": write(tmp_path / "u.txt",
+                       dumps_operator(shift_unitary(space, order))),
+            "cut": "\n".join(f"{v:.17g}" for v in phi.values),
+            "region": "\n".join(str(int(b)) for b in region),
+        }
+
+    def run(self, tmp_path, outdir, inputs, cut, region):
+        cf = write(tmp_path / "cut.txt", cut)
+        rf = write(tmp_path / "region.txt", region)
+        return main(["clutching-index", inputs["space"], inputs["u"], cf, rf,
+                     "--out", outdir])
+
+    def test_non_numeric_cut_token(self, tmp_path, outdir, inputs, capsys):
+        cut = inputs["cut"].replace("\n", "\nx\n", 1)
+        assert self.run(tmp_path, outdir, inputs, cut, inputs["region"]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: line 2: ")
+
+    def test_non_numeric_region_token(self, tmp_path, outdir, inputs, capsys):
+        region = inputs["region"] + "\nyes"
+        assert self.run(tmp_path, outdir, inputs, inputs["cut"], region) == 2
+        assert capsys.readouterr().err.startswith("FAIL: line ")
+
+    def test_region_of_the_wrong_length(self, tmp_path, outdir, inputs,
+                                        capsys):
+        region = inputs["region"] + "\n1"
+        assert self.run(tmp_path, outdir, inputs, inputs["cut"], region) == 3
+        assert "region" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from coarsek.geometry import SampledSpace, build_complex, discretize
 from coarsek.operator import (
     FiniteOperator,
     compress,
+    coordinates_of,
     direct_sum,
     fiber_projection,
     opnorm,
@@ -216,3 +217,23 @@ class TestLayout:
         one = FiniteOperator.identity(line3, 3, unitized=True)
         assert opnorm(one) == pytest.approx(1.0)
         assert propagation(one) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("points", [[], [2], [3, 0, 1], [0, 1, 2, 3]])
+    def test_copy_major_coordinates(self, fat_space, k, points):
+        dims = np.array([1, 3, 0, 2])
+        D = fat_space.total_dim
+        for d in (None, dims):
+            width = fat_space.internal_dims if d is None else d
+            want = [a * D + fat_space.offsets[i] + f
+                    for a in range(k) for i in points for f in range(width[i])]
+            got = coordinates_of(fat_space, k, points, d)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == want
+
+    def test_fiber_projection_marks_kept_coordinates(self, fat_space):
+        q = fiber_projection(fat_space, 2, [True, False, False, True],
+                             [1, 3, 1, 2])
+        kept = np.flatnonzero(q.diagonal().real)
+        assert kept.tolist() == [0, 6, 7, 8, 14, 15]
+        assert q.dtype == complex

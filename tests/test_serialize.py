@@ -1,22 +1,30 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarsek.coarse import CoarseMap
+from coarsek.coarse import CoarseMap, LipschitzHomotopy
 from coarsek.controlled import (
     HomotopyCertificate,
     KClassRep,
     QuasiParams,
     interpolation_certificate,
 )
-from coarsek.errors import MalformedInputError
+from coarsek.errors import CoarsekError, MalformedInputError
 from coarsek.generators import random_banded, random_blockdiag_quasi_projection
-from coarsek.geometry import build_complex, discretize
+from coarsek.geometry import SampledSpace, build_complex, discretize
+from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
 from coarsek.serialize import (
     dumps_certificate,
     dumps_coarse_map,
     dumps_complex,
+    dumps_homotopy,
     dumps_kclass,
+    dumps_merged_report,
     dumps_operator,
     dumps_path,
     dumps_report,
@@ -24,7 +32,9 @@ from coarsek.serialize import (
     loads_certificate,
     loads_coarse_map,
     loads_complex,
+    loads_homotopy,
     loads_kclass,
+    loads_numbers,
     loads_operator,
     loads_path,
     loads_report,
@@ -168,3 +178,204 @@ def test_homotopy_round_trip(space):
     assert len(again.frames) == 2
     assert (again.frames[1].assignment == frames[1].assignment).all()
     assert again.displacement_table == hom.displacement_table
+
+
+# -- strict readers ------------------------------------------------------------
+
+
+def _small_space():
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    return SampledSpace.from_distance_matrix(d, internal_dims=[1, 2, 1])
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_files():
+    """One valid text per format, with the reader that parses it."""
+    space = _small_space()
+    rng = np.random.default_rng(7)
+    n = space.total_dim
+    p = FiniteOperator(space, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
+    q = FiniteOperator(space, np.diag([0.99, 0.0, 1.0, 0.0]).astype(complex))
+    unitized = FiniteOperator(space, rng.standard_normal((2 * n, 2 * n)), 2,
+                              [1.0, complex(-0.0, 1.0)])
+    path = PathOperator([1.0, 2.0], [random_banded(space, 1.5, rng),
+                                     random_banded(space, 0.5, rng)])
+    shifted = CoarseMap(space, space, [2, 0, 1])
+    hom = LipschitzHomotopy([CoarseMap.identity(space), shifted])
+    return {
+        "complex": (dumps_complex(build_complex([(0, 1, 2), (2, 3)])),
+                    loads_complex),
+        "space": (dumps_space(space), loads_space),
+        "operator": (dumps_operator(unitized),
+                     lambda t: loads_operator(t, space)),
+        "kclass": (dumps_kclass(KClassRep("even", p.with_scalar(0.0),
+                                          QuasiParams(0.1, 0.5), 0)),
+                   lambda t: loads_kclass(t, space)),
+        "certificate": (dumps_certificate(
+            interpolation_certificate(p, q, QuasiParams(0.2, 1.5))),
+            lambda t: loads_certificate(t, space)),
+        "map": (dumps_coarse_map(shifted),
+                lambda t: loads_coarse_map(t, space, space)),
+        "homotopy": (dumps_homotopy(hom),
+                     lambda t: loads_homotopy(t, space, space)),
+        "path": (dumps_path(path), lambda t: loads_path(t, space)),
+        "report": (dumps_report({"command": "demo", "passed": True},
+                                [("prop", 0.5, 1.0, 0.5)]), loads_report),
+    }
+
+
+STRUCTURED = ["space", "operator", "kclass", "certificate", "map",
+              "homotopy", "path"]
+SWAP_TOKENS = ["", "x", "-1", "nan", "99999999999"]
+
+
+@st.composite
+def _mutations(draw, text):
+    """Truncate at a line, delete or duplicate a line, or swap one token."""
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["truncate", "delete", "duplicate", "swap"]))
+    if kind == "truncate":
+        return "".join(lines[:i])
+    if kind == "delete":
+        return "".join(lines[:i] + lines[i + 1:])
+    if kind == "duplicate":
+        return "".join(lines[:i + 1] + lines[i:])
+    tokens = list(re.finditer(r"\S+", lines[i]))
+    tok = draw(st.sampled_from(tokens))
+    lines[i] = lines[i][:tok.start()] + draw(st.sampled_from(SWAP_TOKENS)) \
+        + lines[i][tok.end():]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("fmt", sorted(_valid_files()))
+def test_valid_files_load(fmt):
+    text, load = _valid_files()[fmt]
+    load(text)
+
+
+@pytest.mark.parametrize("fmt", sorted(_valid_files()))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_file_loads_or_raises_a_package_error(fmt, data):
+    text, load = _valid_files()[fmt]
+    try:
+        load(data.draw(_mutations(text)))
+    except CoarsekError:
+        pass  # MalformedInputError is also a ValueError: catch only ours
+
+
+@pytest.mark.parametrize("fmt", STRUCTURED)
+def test_every_truncation_names_a_line(fmt):
+    text, load = _valid_files()[fmt]
+    lines = text.splitlines(keepends=True)
+    for k in range(len(lines)):
+        with pytest.raises(MalformedInputError, match=r"^line \d+: "):
+            load("".join(lines[:k]))
+
+
+class TestStrictReaders:
+    def test_errors_name_their_line(self):
+        space = _small_space()
+        lines = dumps_space(space).splitlines()
+        lines[5] = lines[5].replace("2", "two")
+        with pytest.raises(MalformedInputError, match="^line 6: "):
+            loads_space("\n".join(lines))
+
+    def test_huge_count_reaches_end_of_file(self):
+        text = dumps_space(_small_space()).replace("points: 3",
+                                                   f"points: {10 ** 12}")
+        with pytest.raises(MalformedInputError, match="line"):
+            loads_space(text)
+
+    def test_negative_count(self):
+        text = dumps_coarse_map(CoarseMap.identity(_small_space()))
+        with pytest.raises(MalformedInputError, match="negative count"):
+            loads_coarse_map(text.replace("points: 3", "points: -1"),
+                             _small_space(), _small_space())
+
+    def test_huge_fiber_dimension(self):
+        space = _small_space()
+        text = dumps_space(space).replace("\n1 1 1 2\n", "\n1 1 1 99999999999\n")
+        with pytest.raises(MalformedInputError, match="^line 5: "):
+            loads_space(text)
+
+    def test_wrong_key(self):
+        text = dumps_space(_small_space()).replace("points:", "pints:")
+        with pytest.raises(MalformedInputError, match="expected 'points:'"):
+            loads_space(text)
+
+    def test_trailing_line(self):
+        space = _small_space()
+        op = FiniteOperator.identity(space, 1, unitized=False)
+        text = dumps_operator(op)
+        assert loads_operator(text + "\n\n", space).dim == op.dim
+        with pytest.raises(MalformedInputError, match="unexpected line"):
+            loads_operator(text + "0 0\n", space)
+
+    def test_odd_scalar_count(self):
+        space = _small_space()
+        op = FiniteOperator.identity(space, 1, unitized=True)
+        text = dumps_operator(op).replace("scalar: 1 0", "scalar: 1 0 1")
+        with pytest.raises(MalformedInputError, match="^line 4: "):
+            loads_operator(text, space)
+
+    def test_short_entries_row(self):
+        space = _small_space()
+        lines = dumps_operator(FiniteOperator.zeros(space)).splitlines()
+        lines[7] = lines[7].rsplit(" ", 2)[0]
+        with pytest.raises(MalformedInputError,
+                           match="^line 8: expected 8 numbers, found 6"):
+            loads_operator("\n".join(lines), space)
+
+    @pytest.mark.parametrize("row", ["3 0", "-1 0", "0 0"])
+    def test_map_row_ids(self, row):
+        space = _small_space()
+        text = dumps_coarse_map(CoarseMap.identity(space))
+        with pytest.raises(MalformedInputError, match="^line 6: row id"):
+            loads_coarse_map(text.replace("\n1 1\n", f"\n{row}\n"),
+                             space, space)
+
+    def test_empty_times(self):
+        space = _small_space()
+        path = PathOperator([1.0], [FiniteOperator.zeros(space)])
+        lines = dumps_path(path).splitlines()
+        lines[1] = "times:"
+        with pytest.raises(MalformedInputError, match="^line 2: "):
+            loads_path("\n".join(lines), space)
+
+    def test_displacements_and_horizon_checked_by_key(self):
+        hom_text, load_hom = _valid_files()["homotopy"]
+        with pytest.raises(MalformedInputError, match="^line 3: "):
+            load_hom(hom_text.replace("displacements:", "displacement:"))
+        path_text, load_path = _valid_files()["path"]
+        with pytest.raises(MalformedInputError, match="^line 4: "):
+            load_path(path_text.replace("horizon: 2", "horizon: two"))
+
+    def test_text_naming_a_file_is_not_read(self, tmp_path):
+        named = tmp_path / "complex.txt"
+        named.write_text("0 1\n", encoding="utf-8")
+        with pytest.raises(MalformedInputError, match="^line 1: "):
+            loads_complex(str(named))
+
+    def test_negative_zero_survives(self):
+        text, load = _valid_files()["operator"]
+        op = load(text)
+        assert np.signbit(op.scalar[1].real)
+        assert dumps_operator(op) == text
+
+    def test_numbers_file(self):
+        assert loads_numbers("0.5 1\n\n0\n").tolist() == [0.5, 1.0, 0.0]
+        assert loads_numbers("").size == 0
+        with pytest.raises(MalformedInputError, match="^line 2: "):
+            loads_numbers("1\nx\n", int)
+
+
+def test_merged_report_repeats_each_report_body():
+    a = ({"command": "a", "x": 0.25}, [("q", 1.5, 2.0, 0.5)])
+    b = ({"command": "b", "passed": True}, None)
+    merged = dumps_merged_report([("a.txt", *a), ("b.txt", *b)])
+    body_a = dumps_report(*a).splitlines()[1:]
+    body_b = dumps_report(*b).splitlines()[1:]
+    assert merged.splitlines() == ["coarsek-report v1", "sections: 2",
+                                   "## a.txt", *body_a, "## b.txt", *body_b]
