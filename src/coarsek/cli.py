@@ -39,7 +39,7 @@ KNOB_DEFAULTS = {
 
 
 # Exit code of an error: the first row whose type matches.
-EXIT_CODES = ((MalformedInputError, 2), (FileNotFoundError, 2),
+EXIT_CODES = ((MalformedInputError, 2), (OSError, 2),
               (UnicodeDecodeError, 2), (VerificationFailure, 1), (CoarsekError, 3))
 
 

@@ -22,9 +22,11 @@ from scipy.optimize import linear_sum_assignment
 from .controlled import (
     HomotopyCertificate,
     QuasiParams,
+    is_quasi_projection,
     is_quasi_unitary,
-    quasi_defect,
-    verify_certificate,
+    judge_certificate,
+    measure_samples,
+    step_norms,
 )
 from .errors import CapacityError, CertificateError, DomainError, ShapeError
 from .operator import (
@@ -237,8 +239,6 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
     Both covers must cover the same map at the same delta; R defaults to the
     measured expansion of the map at the declared propagation level.
     """
-    from .controlled import is_quasi_projection
-
     if Vf.map is not Vg.map and not np.array_equal(Vf.map.assignment,
                                                    Vg.map.assignment):
         raise DomainError("covers must cover the same map")
@@ -273,42 +273,41 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
         out = u_t @ x @ u_t.conj().T
         return FiniteOperator(tgt, (out + out.conj().T) / 2, 4 * k)
 
-    return _certify_path(sample, "even", ambient, steps, tau, max_steps)
+    return _certify_path(sample, "even", ambient, steps, tau, max_steps)[0]
 
 
 def _certify_path(sample_fn, parity, ambient, steps, tau, max_steps):
-    """Sample a continuous path finely enough that the certificate verifies.
+    """Sample a continuous path finely enough that its certificate passes;
+    returns the certificate and the sample measurements it was judged on.
 
-    A coarse probe estimates the arc length plus the worst sample defect,
-    which fixes the step budget the perturbation margin allows; the sampled
-    certificate is then verified outright (and refined if the estimate was
-    optimistic)."""
-    explicit = steps is not None
-    if explicit:
-        n = steps
-    else:
-        probe_ts = np.linspace(0.0, 1.0, 9)
-        probe = [sample_fn(t) for t in probe_ts]
-        arc = sum(opnorm(b - a) for a, b in zip(probe, probe[1:]))
-        worst = max(quasi_defect(s, parity) for s in probe)
-        margin = ambient.eps - worst
-        if margin <= 0:
-            raise CertificateError(
-                f"probe sample defect {worst} already exceeds eps {ambient.eps}")
-        step_budget = 1.8 * math.sqrt(margin)
-        n = max(8, math.ceil(arc / step_budget * 1.1))
-        if n > max_steps:
-            raise CertificateError(
-                f"certificate would need {n} > {max_steps} steps")
+    Without an explicit step count the first sampling, at 8 steps, is also
+    the probe: its arc length and worst defect fix the step budget the
+    perturbation margin allows.  The path is sampled again only when that
+    budget needs more steps or a verdict fails (the count then doubles)."""
+    probe = steps is None
+    n = 8 if probe else steps
     while True:
-        ts = np.linspace(0.0, 1.0, n + 1)
-        samples = [sample_fn(t) for t in ts]
-        bounds = [opnorm(b - a) for a, b in zip(samples, samples[1:])]
+        samples = [sample_fn(t) for t in np.linspace(0.0, 1.0, n + 1)]
+        measured = measure_samples(samples, parity, tau)
+        bounds = step_norms(samples)
+        if probe:
+            probe = False
+            worst = max(m[0] for m in measured)
+            margin = ambient.eps - worst
+            if margin <= 0:
+                raise CertificateError(
+                    f"probe sample defect {worst} already exceeds eps {ambient.eps}")
+            n = max(8, math.ceil(sum(bounds) / (1.8 * math.sqrt(margin)) * 1.1))
+            if n > max_steps:
+                raise CertificateError(
+                    f"certificate would need {n} > {max_steps} steps")
+            if n > 8:
+                continue
         cert = HomotopyCertificate(parity, samples, ambient, bounds)
-        ok, report = verify_certificate(cert, tau)
+        ok, report = judge_certificate(cert, measured, bounds)
         if ok:
-            return cert
-        if explicit or n >= max_steps:
+            return cert, measured
+        if steps is not None or n >= max_steps:
             raise CertificateError(
                 f"path not certifiable at {n} steps: {report['failures'][:3]}")
         n *= 2
@@ -403,15 +402,12 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     u_last = us[-1]
     w = [ui @ u_last.adjoint() for ui in us]
 
-    def blk(op):
-        return _dsum2(op)
-
-    ident2 = blk(FiniteOperator.identity(tgt, 1, unitized=True))
-    a = direct_sum([blk(wi) for wi in w])
-    b = direct_sum([blk(wi) for wi in w[1:]] + [blk(w[-1])])
-    c_op = direct_sum([blk(w[-1])] + [blk(wi) for wi in w[1:]])
-    base = direct_sum([blk(u_last)] + [ident2] * ell)
-    a0 = direct_sum([blk(us[0])] + [ident2] * ell)
+    ident2 = _dsum2(FiniteOperator.identity(tgt, 1, unitized=True))
+    a = direct_sum([_dsum2(wi) for wi in w])
+    b = direct_sum([_dsum2(wi) for wi in w[1:]] + [_dsum2(w[-1])])
+    c_op = direct_sum([_dsum2(w[-1])] + [_dsum2(wi) for wi in w[1:]])
+    base = direct_sum([_dsum2(u_last)] + [ident2] * ell)
+    a0 = direct_sum([_dsum2(us[0])] + [ident2] * ell)
     a1 = base
 
     du2 = _dsum2(u)
@@ -433,7 +429,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
             entries, scal = ad_doubled(pair_cover(i, s), du2)
             parts.append(FiniteOperator(tgt, entries, 2,
                                         None if scal is None else [scal, scal]))
-        parts.append(blk(u_last))
+        parts.append(_dsum2(u_last))
         return [p @ dul2_star for p in parts]
 
     def gamma_cycle(s):
@@ -443,8 +439,8 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
         rot = amplify_scalar_matrix(tgt, 2 * m, mix)
         return rot @ b @ rot.adjoint()
 
-    ab_blocks = [blk(wi) @ blk_base for wi, blk_base in
-                 zip(w, [blk(u_last)] + [ident2] * ell)]
+    ab_blocks = [_dsum2(wi) @ blk_base for wi, blk_base in
+                 zip(w, [_dsum2(u_last)] + [ident2] * ell)]
     a_base = a @ base
 
     def seg2_sample(t):
@@ -457,7 +453,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
         return gamma_cycle(2 * s - 1).adjoint() @ a_base
 
     ambient = QuasiParams(21 * params.eps, 5 * (c * params.r + 4 * delta))
-    segs = []
+    segs, measured = [], []
     bee = (c_op.adjoint() @ a) @ base
     aa_base = (a.adjoint() @ a) @ base
     stages = [
@@ -467,12 +463,15 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     ]
     for stage, fn in stages:
         try:
-            segs.append(_certify_path(fn, "odd", ambient, steps, tau,
-                                      max_steps))
+            seg, seg_measured = _certify_path(fn, "odd", ambient, steps, tau,
+                                              max_steps)
         except (CertificateError, DomainError) as exc:
             raise CertificateError(f"{stage} stage failed: {exc}") from exc
+        segs.append(seg)
+        measured += seg_measured
+    # every step bound of the joined certificate is a measured norm
     cert = concatenate_certificates(segs)
-    ok, report = verify_certificate(cert, tau)
+    ok, report = judge_certificate(cert, measured, cert.step_bounds)
     if not ok:
         raise CertificateError(f"assembled certificate failed: {report['failures'][:3]}")
     report["achieved_eps"] = report.pop("worst_defect")

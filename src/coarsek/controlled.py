@@ -5,13 +5,12 @@ the (lambda, h) parameter bookkeeping.
 A self-adjoint p with ||p^2 - p|| < eps and propagation < r is an
 (eps, r)-quasi-projection; u with ||u*u - 1|| < eps, ||uu* - 1|| < eps and
 propagation < r is an (eps, r)-quasi-unitary.  Homotopies are represented
-only by verifiable certificates: sampled paths whose per-step norm gaps,
-combined with the linear perturbation bound
-
-    ||p'^2 - p'|| <= eps + 5 ||p - p'||,
-
-keep every linear interpolant inside the ambient quasi-regime.
-"""
+only by verifiable certificates: sampled paths with one bound per step.
+``judge_certificate`` admits a step of size d between samples of defects
+e0, e1 when max(e0, e1) + d^2/4 stays within eps (an exact identity); only
+``perturb_bound`` and the first check of ``interpolation_certificate`` use
+the coarser ||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
+measured once; ``verify_certificate`` re-measures, for loaded certificates."""
 
 from __future__ import annotations
 
@@ -313,23 +312,36 @@ class HomotopyCertificate:
         return self.samples[0], self.samples[-1]
 
 
+def step_norms(ops):
+    """||x_{i+1} - x_i|| for each consecutive pair of a sequence."""
+    return [opnorm(b - a) for a, b in zip(ops, ops[1:])]
+
+
+def measure_samples(samples, parity, tau=DEFAULT_TAU):
+    """(defect, propagation, not self-adjoint) of every sample; the last is
+    measured only for even parity, the only one that requires it."""
+    return [(quasi_defect(s, parity), propagation(s, tau),
+             parity == "even" and herm_defect(s) > HERM_TOL) for s in samples]
+
+
 def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TAU):
     """Two-sample certificate for the straight line between nearby elements.
 
     Valid when 5 ||p - p'|| + max of the measured defects stays below the
-    ambient eps and both endpoints respect the ambient propagation bound.
+    ambient eps (checked first) and the certificate rule accepts it.
     """
     delta = opnorm(p - p_prime)
-    defects = (quasi_defect(p, parity), quasi_defect(p_prime, parity))
-    if 5 * delta + max(defects) >= ambient.eps:
+    measured = measure_samples([p, p_prime], parity, tau)
+    worst = max(m[0] for m in measured)
+    if 5 * delta + worst >= ambient.eps:
         raise CertificateError(
-            f"gap too large: 5*{delta} + {max(defects)} >= {ambient.eps}; subdivide")
-    for op in (p, p_prime):
-        if propagation(op, tau) >= ambient.r:
-            raise CertificateError("endpoint exceeds the ambient propagation bound")
-        if parity == "even" and herm_defect(op) > HERM_TOL:
-            raise CertificateError("even certificates need self-adjoint samples")
-    return HomotopyCertificate(parity, [p, p_prime], ambient, [delta])
+            f"gap too large: 5*{delta} + {worst} >= {ambient.eps}; subdivide")
+    cert = HomotopyCertificate(parity, [p, p_prime], ambient, [delta])
+    ok, report = judge_certificate(cert, measured, [delta])
+    if not ok:
+        raise CertificateError(
+            f"interpolation fails verification at {report['failures'][0]}")
+    return cert
 
 
 def resample_certificate(path, eps, r=None, parity="even", replacements=None,
@@ -338,14 +350,15 @@ def resample_certificate(path, eps, r=None, parity="even", replacements=None,
 
     Consecutive input samples must be within eps/15 in norm; optional
     replacements (propagation-trimmed substitutes) must sit within eps/20
-    of the samples they replace.  The output is re-verified; a step that
-    cannot meet the perturbation margin raises with its index.
+    of the samples they replace.  r defaults to just above the largest
+    measured propagation.  The output is judged; a step that cannot meet
+    the perturbation margin raises with its index.
     """
     if not path:
         raise CertificateError("empty path")
     if not 0 < 2 * eps < 0.25:
         raise DomainError("eps must lie in (0, 1/8) so the doubled level is valid")
-    samples = list(path)
+    samples = path = list(path)
     if replacements is not None:
         if len(replacements) != len(path):
             raise CertificateError("one replacement per sample required")
@@ -355,48 +368,45 @@ def resample_certificate(path, eps, r=None, parity="even", replacements=None,
                 raise CertificateError(
                     f"replacement {i} is {d} away; needs <= eps/20 = {eps / 20}")
         samples = list(replacements)
-    gaps = []
-    for i in range(len(path) - 1):
-        d = opnorm(path[i + 1] - path[i])
+    gaps = step_norms(path)
+    for i, d in enumerate(gaps):
         if d > eps / 15:
             raise CertificateError(
                 f"step {i} too coarse: {d} > eps/15 = {eps / 15}; refine there")
-        gaps.append(d)
+    measured = measure_samples(samples, parity, tau)
     if r is None:
-        r = max(propagation(s, tau) for s in samples) * (1 + 1e-9) + 1e-15
-    steps = [opnorm(b - a) for a, b in zip(samples, samples[1:])]
+        r = max(m[1] for m in measured) * (1 + 1e-9) + 1e-15
+    steps = gaps if replacements is None else step_norms(samples)
     cert = HomotopyCertificate(parity, samples, QuasiParams(2 * eps, r), steps)
-    ok, report = verify_certificate(cert, tau)
+    ok, report = judge_certificate(cert, measured, steps)
     if not ok:
         raise CertificateError(
             f"resampled path fails verification at {report['failures'][0]}")
     return cert
 
 
-def verify_certificate(cert, tau=DEFAULT_TAU):
-    """Check every sample and every step margin; returns (verdict, report).
+def judge_certificate(cert, measured, steps):
+    """The certificate rule on measurements already taken; returns
+    (verdict, report).
 
-    For a linear step p_t = (1-t) p0 + t p1 of size d the defect obeys the
-    exact identity p_t^2 - p_t = (1-t)(p0^2-p0) + t(p1^2-p1) - t(1-t)(p0-p1)^2
+    ``measured`` holds ``measure_samples`` of the samples and ``steps`` the
+    ``step_norms`` of the samples.  For a linear step p_t = (1-t) p0 + t p1
+    of size d the defect obeys the exact identity
+    p_t^2 - p_t = (1-t)(p0^2-p0) + t(p1^2-p1) - t(1-t)(p0-p1)^2
     (and its unitary analogue), so a step is admissible when
     max(e0, e1) + d^2/4 stays within the ambient eps.
     """
     failures = []
-    defects, props = [], []
-    for i, s in enumerate(cert.samples):
-        d = quasi_defect(s, cert.parity)
-        p = propagation(s, tau)
-        defects.append(d)
-        props.append(p)
-        if cert.parity == "even" and herm_defect(s) > HERM_TOL:
+    defects, props, _ = zip(*measured)
+    for i, (d, p, asymmetric) in enumerate(measured):
+        if asymmetric:
             failures.append((i, "sample not self-adjoint"))
         if d >= cert.params.eps:
             failures.append((i, f"sample defect {d} >= eps {cert.params.eps}"))
         if p >= cert.params.r:
             failures.append((i, f"sample propagation {p} >= r {cert.params.r}"))
     margins = []
-    for i, bound in enumerate(cert.step_bounds):
-        actual = opnorm(cert.samples[i + 1] - cert.samples[i])
+    for i, (bound, actual) in enumerate(zip(cert.step_bounds, steps)):
         if actual > bound + 1e-12:
             failures.append((i, f"recorded step bound {bound} below actual {actual}"))
         margin = cert.params.eps - (max(defects[i], defects[i + 1])
@@ -415,6 +425,14 @@ def verify_certificate(cert, tau=DEFAULT_TAU):
         "failures": failures,
     }
     return not failures, report
+
+
+def verify_certificate(cert, tau=DEFAULT_TAU):
+    """Re-measure every sample and every step of a certificate and judge
+    them (``judge_certificate``); returns (verdict, report).  This is the
+    check on a certificate read from a file."""
+    return judge_certificate(cert, measure_samples(cert.samples, cert.parity, tau),
+                             step_norms(cert.samples))
 
 
 def certificate_rank_profile(cert):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
+from .controlled import unitary_defects
 from .errors import DomainError
 from .operator import FiniteOperator, coordinates_of, expand_point_mask, opnorm
 
@@ -118,9 +119,7 @@ def random_quasi_unitary(space, params, rng, amplification=1, max_tries=8):
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
         m = phases[:, None] * v
         u = FiniteOperator(space, m, amplification)
-        eye = np.eye(n)
-        defect = max(opnorm(m.conj().T @ m - eye), opnorm(m @ m.conj().T - eye))
-        if defect < 0.9 * params.eps:
+        if max(unitary_defects(u)) < 0.9 * params.eps:
             return u
         strength /= 2
     raise DomainError("could not reach the requested quasi-unitary level")

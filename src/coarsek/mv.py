@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import kappa_even, unitary_defects
+from .controlled import kappa_even
 from .errors import DomainError, PropagationError, VerificationFailure
 from .generators import random_banded, random_region_supported, trial_rngs
 from .geometry import decompose, neighborhood
@@ -332,11 +332,6 @@ def local_index(u, phi, region, tau=DEFAULT_TAU):
     p_u = clutching_projection(u, phi)
     one = FiniteOperator.identity(u.space, u.amplification, unitized=False)
     p_1 = clutching_projection(one, phi)
-    for p in (p_u, p_1):
-        m = p.concrete()
-        if opnorm(m @ m - m) >= 0.25:
-            raise DomainError("clutching projection has no spectral gap; "
-                              f"unitary defects {unitary_defects(u)} too large")
     diff = kappa_even(p_u).concrete() - kappa_even(p_1).concrete()
     mask = coordinate_mask(u.space, p_u.amplification, region)
     raw = float(np.real(np.diag(diff)[mask].sum()))

@@ -58,10 +58,6 @@ class FiniteOperator:
                        np.ones(amplification, dtype=complex))
         return cls(space, np.eye(n, dtype=complex), amplification)
 
-    @classmethod
-    def from_matrix(cls, space, matrix, amplification=1):
-        return cls(space, matrix, amplification)
-
     # -- basic views -------------------------------------------------------
 
     @property
@@ -77,10 +73,6 @@ class FiniteOperator:
         if self.scalar is None:
             return self.entries
         return self.entries + np.diag(np.repeat(self.scalar, self.space.total_dim))
-
-    def strip_scalar(self):
-        """Same matrix regarded outside the unitization."""
-        return FiniteOperator(self.space, self.concrete(), self.amplification)
 
     def with_scalar(self, scalar):
         return FiniteOperator(self.space, self.entries, self.amplification, scalar)
@@ -244,20 +236,13 @@ def herm_defect(op):
     return opnorm(diff)
 
 
-def _point_major(space, k):
-    pidx = np.tile(space.point_of_coord, k)
-    order = np.argsort(pidx, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(space.internal_dims * k)])[:-1]
-    return order, starts
-
-
 def block_abs_max(op):
-    """(N, N) matrix of per-(point, point) max entry modulus of the concrete op."""
-    a = np.abs(op.concrete())
-    order, starts = _point_major(op.space, op.amplification)
-    p = a[np.ix_(order, order)]
-    rows = np.maximum.reduceat(p, starts, axis=0)
-    return np.maximum.reduceat(rows, starts, axis=1)
+    """(N, N) matrix of per-(point, point) max entry modulus of the concrete op:
+    the max over copy pairs, then over each point's coordinate range."""
+    k, n = op.amplification, op.space.total_dim
+    a = np.abs(op.concrete()).reshape(k, n, k, n).max(axis=(0, 2))
+    starts = op.space.offsets[:-1]
+    return np.maximum.reduceat(np.maximum.reduceat(a, starts, axis=0), starts, axis=1)
 
 
 def support(op, tau=DEFAULT_TAU):

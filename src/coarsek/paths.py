@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import QuasiParams, is_quasi_projection, is_quasi_unitary
+from .controlled import (QuasiParams, is_quasi_projection, is_quasi_unitary,
+                         step_norms)
 from .errors import DomainError, NoDecayError
-from .operator import DEFAULT_TAU, opnorm, propagation
+from .operator import DEFAULT_TAU, propagation
 
 PATH_EPS_GATE = 1 / 8
 
@@ -36,12 +37,11 @@ class PathOperator:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.ndim != 1 or len(self.times) != len(self.values):
             raise DomainError("one operator per sampled time required")
-        if self.times[0] != 1.0:
+        if not len(self.times) or self.times[0] != 1.0:
             raise DomainError("paths start at time 1")
         if (np.diff(self.times) <= 0).any():
             raise DomainError("times must be strictly increasing")
-        gaps = [opnorm(b - a) for a, b in zip(self.values, self.values[1:])]
-        measured = max(gaps, default=0.0)
+        measured = max(step_norms(self.values), default=0.0)
         if self.modulus is None:
             self.modulus = measured
         elif measured > self.modulus + 1e-12:

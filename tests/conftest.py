@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coarsek import coarse, controlled
 from coarsek.geometry import build_complex, circle_space, discretize
 
 
@@ -33,3 +34,26 @@ def small_circle():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def judged(monkeypatch):
+    """Copies of the report of every ``judge_certificate`` call in a test."""
+    reports = []
+    original = controlled.judge_certificate
+
+    def spy(*args):
+        ok, report = original(*args)
+        reports.append(dict(report))
+        return ok, report
+
+    for module in (controlled, coarse):
+        monkeypatch.setattr(module, "judge_certificate", spy)
+    return reports
+
+
+def assert_same_report(got, want):
+    """Same keys, and every value the same to the last bit."""
+    assert got.keys() == want.keys()
+    for key in want:
+        assert repr(got[key]) == repr(want[key]), key

@@ -316,6 +316,10 @@ class TestStrictInputs:
         assert main(["complex-validate", str(cx), "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: ")
 
+    def test_input_path_that_is_a_directory(self, tmp_path, outdir, capsys):
+        assert main(["complex-validate", str(tmp_path), "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
     def test_bad_config_value(self, tmp_path, outdir, capsys):
         cx = write(tmp_path / "complex.txt", "0 1\n")
         cfg = write(tmp_path / "knobs.cfg", "# knobs\nmesh = 0.5\nepsilon = abc\n")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_same_report
 from coarsek.coarse import (
     CoarseMap,
     LipschitzHomotopy,
+    _certify_path,
     ad,
     concatenate_certificates,
     delta_cover,
@@ -18,6 +20,7 @@ from coarsek.coarse import (
 from coarsek.controlled import (
     QuasiParams,
     is_quasi_unitary,
+    measure_samples,
     projection_defect,
     verify_certificate,
 )
@@ -200,6 +203,26 @@ class TestSwapAndRotation:
         ok, rep = verify_certificate(cert)
         assert ok, rep["failures"]
 
+    def test_rotation_is_judged_as_the_verifier_judges(self, edge_fine,
+                                                        edge_fat, rng, judged):
+        f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
+        v1 = delta_cover(f, 0.25)
+        v2 = delta_cover(f, 0.25, bias="pack-high")
+        params = QuasiParams(0.1, 0.3)
+        p, _ = random_quasi_projection(edge_fine, params, rng)
+        cert = rotation_homotopy(v1, v2, p, params)
+        built = judged[-1]
+        assert_same_report(built, verify_certificate(cert)[1])
+
+    def test_too_few_steps_allowed(self, edge_fine, edge_fat, rng):
+        f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
+        v1 = delta_cover(f, 0.25)
+        v2 = delta_cover(f, 0.25, bias="pack-high")
+        params = QuasiParams(0.1, 0.3)
+        p, _ = random_quasi_projection(edge_fine, params, rng)
+        with pytest.raises(CertificateError, match="would need 8 > 4"):
+            rotation_homotopy(v1, v2, p, params, max_steps=4)
+
     def test_endpoint_placements(self, edge_fine, edge_fat, rng):
         f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
         v1 = delta_cover(f, 0.25)
@@ -367,6 +390,52 @@ class TestHomotopyInvariance:
         assert report["achieved_eps"] <= 21 * params.eps + 1e-9
         ok, rep = verify_certificate(cert)
         assert ok, rep["failures"]
+
+    def test_assembly_is_judged_as_the_verifier_judges(self, judged):
+        space, hom = edge_onehop_slide(n=12)
+        delta = max(hom.displacement_table) * 1.2
+        u = phase_unitary(space, np.linspace(0, 1.5, len(space)))
+        cert, report = homotopy_invariance_certificate(
+            hom, u, QuasiParams(0.01, 0.2), delta)
+        built = judged[-1]
+        verified = verify_certificate(cert)[1]
+        assert_same_report(built, verified)
+        assert repr(report["achieved_eps"]) == repr(verified["worst_defect"])
+        assert repr(report["achieved_r"]) == repr(verified["worst_propagation"])
+
+
+class TestCertifyPath:
+    @staticmethod
+    def rotating_projection(angle, calls):
+        """Path t -> u(angle t) diag(1, 0) u(angle t)* on one point with a
+        2-dimensional fiber, recording every sampled t."""
+        space = SampledSpace.from_distance_matrix(np.zeros((1, 1)),
+                                                  internal_dims=[2])
+
+        def sample(t):
+            calls.append(t)
+            c, s = math.cos(angle * t), math.sin(angle * t)
+            u = np.array([[c, -s], [s, c]], dtype=complex)
+            return FiniteOperator(space, u @ np.diag([1.0, 0.0]) @ u.T)
+        return sample
+
+    def test_probe_is_the_certificate_when_eight_steps_suffice(self):
+        calls = []
+        sample = self.rotating_projection(math.pi / 2, calls)
+        cert, measured = _certify_path(sample, "even", QuasiParams(0.1, 1.0),
+                                       None, 1e-12, 4096)
+        assert len(calls) == 9 and len(cert) == 9
+        assert measured == measure_samples(cert.samples, "even", 1e-12)
+        assert verify_certificate(cert, 1e-12)[0]
+
+    def test_resamples_only_when_the_budget_needs_more_steps(self):
+        calls = []
+        sample = self.rotating_projection(math.pi / 2, calls)
+        cert, _ = _certify_path(sample, "even", QuasiParams(0.01, 1.0),
+                                None, 1e-12, 4096)
+        assert len(cert) > 9
+        assert len(calls) == 9 + len(cert)
+        assert verify_certificate(cert, 1e-12)[0]
 
 
 def test_concatenate_certificates_tracks_junctions(pt_space=None):

@@ -29,6 +29,7 @@ from coarsek.controlled import (
     unitary_defects,
     verify_certificate,
 )
+from conftest import assert_same_report
 from coarsek.errors import (
     CertificateError,
     DomainError,
@@ -323,6 +324,39 @@ class TestCertificates:
         ok, rep = verify_certificate(cert)
         assert not ok
         assert rep["failures"][0][0] == 0
+
+    def test_interpolation_is_judged_as_the_verifier_judges(self, pt2, judged):
+        p = diag_op(pt2, [1.0, 0.0])
+        b = FiniteOperator(pt2, p.entries + np.diag([0.01, -0.003]))
+        cert = interpolation_certificate(p, b, QuasiParams(0.1, 1.0))
+        built = judged[-1]
+        assert_same_report(built, verify_certificate(cert)[1])
+
+    def test_interpolation_rejects_wide_endpoint(self):
+        d = np.array([[0.0, 5.0], [5.0, 0.0]])
+        s = SampledSpace.from_distance_matrix(d)
+        p = FiniteOperator(s, np.full((2, 2), 0.5, dtype=complex))
+        with pytest.raises(CertificateError, match="propagation"):
+            interpolation_certificate(p, p, QuasiParams(0.2, 1.0))
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_resample_is_judged_as_the_verifier_judges(self, pt2, judged,
+                                                       trimmed):
+        path = []
+        for t in np.linspace(0, 0.3, 60):
+            c, s = math.cos(t), math.sin(t)
+            u = np.array([[c, -s], [s, c]], dtype=complex)
+            path.append(FiniteOperator(pt2, u @ np.diag([1.0, 0.0]) @ u.T))
+        replacements = None
+        if trimmed:
+            nudge = np.diag([0.001, 0.0]).astype(complex)
+            replacements = [FiniteOperator(pt2, x.entries + nudge) for x in path]
+        cert = resample_certificate(path, eps=0.1, replacements=replacements)
+        built = judged[-1]
+        assert_same_report(built, verify_certificate(cert)[1])
+        if not trimmed:
+            assert cert.step_bounds == [opnorm(b - a)
+                                        for a, b in zip(path, path[1:])]
 
     def test_rank_constant_along_certificate(self, pt2):
         p = diag_op(pt2, [1.0, 0.0])

@@ -8,6 +8,7 @@ from coarsek.generators import random_banded, rng_from
 from coarsek.geometry import SampledSpace, build_complex, discretize
 from coarsek.operator import (
     FiniteOperator,
+    block_abs_max,
     compress,
     coordinates_of,
     direct_sum,
@@ -39,6 +40,32 @@ def place_block(space, k, y, x, value=1.0):
     m = op.entries.copy()
     m[space.offsets[y], space.offsets[x]] = value
     return FiniteOperator(space, m, k)
+
+
+def point_major_block_abs_max(op):
+    """Oracle: permute coordinates point-major, then max over each point's
+    rows and columns."""
+    space, k = op.space, op.amplification
+    order = np.argsort(np.tile(space.point_of_coord, k), kind="stable")
+    starts = np.concatenate([[0], np.cumsum(space.internal_dims * k)])[:-1]
+    a = np.abs(op.concrete())[np.ix_(order, order)]
+    return np.maximum.reduceat(np.maximum.reduceat(a, starts, axis=0), starts, axis=1)
+
+
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       k=st.integers(1, 3), unitized=st.booleans(), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_block_abs_max_matches_point_major_oracle(dims, k, unitized, seed):
+    rng = np.random.default_rng(seed)
+    n = len(dims)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    space = SampledSpace.from_distance_matrix(d, internal_dims=dims)
+    size = k * space.total_dim
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    m[rng.random((size, size)) < 0.6] = 0.0
+    scalar = rng.standard_normal(k) + 1j * rng.standard_normal(k) if unitized else None
+    op = FiniteOperator(space, m, k, scalar)
+    assert np.array_equal(block_abs_max(op), point_major_block_abs_max(op))
 
 
 class TestSupport:

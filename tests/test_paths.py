@@ -141,3 +141,8 @@ class TestPathQuasi:
         assert p.modulus == pytest.approx(max(gaps))
         with pytest.raises(DomainError):
             PathOperator(p.times, p.values, modulus=p.modulus / 2)
+
+
+def test_empty_path_is_a_domain_error():
+    with pytest.raises(DomainError):
+        PathOperator([], [])
