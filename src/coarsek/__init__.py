@@ -12,7 +12,7 @@ from .operator import (
 )
 from .controlled import (
     QuasiParams, KClassRep, HomotopyCertificate, ControlPair,
-    is_quasi_projection, is_quasi_unitary, perturb_bound, stabilize,
+    is_quasi, is_quasi_projection, is_quasi_unitary, perturb_bound, stabilize,
     kappa_even, kappa_odd, k0_points, interpolation_certificate,
     resample_certificate, verify_certificate,
     compose_control_pairs, apply_control_pair, relaxed_params,

@@ -98,9 +98,8 @@ def _op_prop(knobs, space_file, operator_file):
 
 def _quasi_check(knobs, space_file, operator_file):
     op = _load_operator(space_file, operator_file)
-    test = controlled.is_quasi_projection if knobs["parity"] == "even" \
-        else controlled.is_quasi_unitary
-    ok, wit = test(op, _params(knobs), knobs["tau"])
+    ok, wit = controlled.is_quasi(op, knobs["parity"], _params(knobs),
+                                  knobs["tau"])
     return Outcome({"parity": knobs["parity"], "passed": ok, **wit},
                    failure=None if ok else f"{knobs['parity']} quasi-test failed: {wit}")
 

@@ -22,19 +22,21 @@ from scipy.optimize import linear_sum_assignment
 from .controlled import (
     HomotopyCertificate,
     QuasiParams,
-    is_quasi_projection,
-    is_quasi_unitary,
     judge_certificate,
     measure_samples,
+    require_quasi,
     step_norms,
+    witness_defect,
 )
 from .errors import CapacityError, CertificateError, DomainError, ShapeError
+from .geometry import retract_onto_pieces
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
     amplify_scalar_matrix,
     direct_sum,
     opnorm,
+    point_block_max,
 )
 
 
@@ -91,8 +93,6 @@ def retraction_coarse_map(space, complex_, mask, kind):
     into the full space along the retraction table, and its measured
     Lipschitz constant is the empirical uniform constant of that piece.
     """
-    from .geometry import retract_onto_pieces
-
     table = retract_onto_pieces(space, complex_, mask, kind)
     sub, idx = space.subspace(mask)
     return CoarseMap(sub, space, table[idx]), idx
@@ -118,17 +118,12 @@ class CoverIsometry:
             raise DomainError(f"support pair {bad[0]} farther than delta from the graph")
 
     def support_violations(self, tau=DEFAULT_TAU):
-        """Exhaustive scan of the support condition d(y, f(x)) < delta."""
+        """Every point pair (y, x) of the support with d(y, f(x)) >= delta,
+        in row-major order."""
         src, tgt = self.map.source, self.map.target
-        out = []
-        for y in range(len(tgt)):
-            ys = slice(tgt.offsets[y], tgt.offsets[y + 1])
-            for x in range(len(src)):
-                xs = slice(src.offsets[x], src.offsets[x + 1])
-                if np.abs(self.matrix[ys, xs]).max(initial=0.0) > tau:
-                    if not tgt.dist[y, self.map(x)] < self.delta:
-                        out.append((y, x))
-        return out
+        held = point_block_max(np.abs(self.matrix), tgt, src) > tau
+        near = tgt.dist[:, self.map.assignment] < self.delta
+        return [(int(y), int(x)) for y, x in np.argwhere(held & ~near)]
 
     def range_projection(self):
         return self.matrix @ self.matrix.conj().T
@@ -244,9 +239,7 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
         raise DomainError("covers must cover the same map")
     if Vf.delta != Vg.delta:
         raise DomainError("covers must share delta")
-    ok, wit = is_quasi_projection(p, params, tau)
-    if not ok:
-        raise DomainError(f"input fails its quasi-projection test: {wit}")
+    require_quasi(p, "even", params, tau)
     delta = Vf.delta
     omega = expansion_function(Vf.map, params.r)
     if R is None:
@@ -292,7 +285,7 @@ def _certify_path(sample_fn, parity, ambient, steps, tau, max_steps):
         bounds = step_norms(samples)
         if probe:
             probe = False
-            worst = max(m[0] for m in measured)
+            worst = max(map(witness_defect, measured))
             margin = ambient.eps - worst
             if margin <= 0:
                 raise CertificateError(
@@ -387,9 +380,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     if params.eps >= 1 / 84:
         # the conclusion lives at 21 eps, which must stay a valid level
         raise DomainError("homotopy transport needs eps < 1/84")
-    ok, wit = is_quasi_unitary(u, params, tau)
-    if not ok:
-        raise DomainError(f"input fails its quasi-unitary test: {wit}")
+    require_quasi(u, "odd", params, tau)
     c = F.lipschitz_bound
     idx = partition_homotopy(F, delta)
     maps = [F.frames[i] for i in idx]

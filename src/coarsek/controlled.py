@@ -6,6 +6,8 @@ A self-adjoint p with ||p^2 - p|| < eps and propagation < r is an
 (eps, r)-quasi-projection; u with ||u*u - 1|| < eps, ||uu* - 1|| < eps and
 propagation < r is an (eps, r)-quasi-unitary.  Homotopies are represented
 only by verifiable certificates: sampled paths with one bound per step.
+The quasi-test (``is_quasi``) is the certificate rule on the one-sample
+path at the element, so ``judge_certificate`` alone states it.
 ``judge_certificate`` admits a step of size d between samples of defects
 e0, e1 when max(e0, e1) + d^2/4 stays within eps (an exact identity); only
 ``perturb_bound`` and the first check of ``interpolation_certificate`` use
@@ -29,6 +31,7 @@ from .errors import (
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
+    block_abs_max,
     coordinates_of,
     direct_sum,
     herm_defect,
@@ -73,41 +76,51 @@ def unitary_defects(op):
     return opnorm(m.conj().T @ m - eye), opnorm(m @ m.conj().T - eye)
 
 
+def measure(x, parity, tau=DEFAULT_TAU):
+    """Witness norms of one element: the self-adjointness and projection
+    defects (even) or the two unitary defects (odd), then propagation."""
+    if parity == "even":
+        wit = {"herm_defect": herm_defect(x),
+               "projection_defect": projection_defect(x)}
+    elif parity == "odd":
+        wit = dict(zip(("left_defect", "right_defect"), unitary_defects(x)))
+    else:
+        raise DomainError(f"parity must be 'even' or 'odd', not {parity!r}")
+    wit["propagation"] = propagation(x, tau)
+    return wit
+
+
+def is_quasi(x, parity, params, tau=DEFAULT_TAU):
+    """Quasi-test: the certificate rule on the one-sample path at ``x``;
+    returns (verdict, witness norms with the level)."""
+    wit = measure(x, parity, tau)
+    ok, _ = judge_certificate(HomotopyCertificate(parity, [x], params), [wit], [])
+    return ok, {**wit, "eps": params.eps, "r": params.r}
+
+
 def is_quasi_projection(p, params, tau=DEFAULT_TAU):
-    """Quasi-projection test; returns (verdict, witness norms)."""
-    herm = herm_defect(p)
-    defect = projection_defect(p)
-    prop = propagation(p, tau)
-    ok = herm <= HERM_TOL and defect < params.eps and prop < params.r
-    return ok, {"herm_defect": herm, "projection_defect": defect,
-                "propagation": prop, "eps": params.eps, "r": params.r}
+    return is_quasi(p, "even", params, tau)
 
 
 def is_quasi_unitary(u, params, tau=DEFAULT_TAU):
-    """Quasi-unitary test; returns (verdict, witness norms)."""
-    left, right = unitary_defects(u)
-    prop = propagation(u, tau)
-    ok = left < params.eps and right < params.eps and prop < params.r
-    return ok, {"left_defect": left, "right_defect": right,
-                "propagation": prop, "eps": params.eps, "r": params.r}
+    return is_quasi(u, "odd", params, tau)
 
 
-def quasi_defect(op, parity):
-    if parity == "even":
-        return projection_defect(op)
-    return max(unitary_defects(op))
+def require_quasi(x, parity, params, tau=DEFAULT_TAU):
+    """Raise DomainError unless ``x`` passes its quasi-test."""
+    ok, wit = is_quasi(x, parity, params, tau)
+    if not ok:
+        raise DomainError(f"{parity} quasi-test failed: {wit}")
 
 
-def perturb_bound(p, p_prime, params, tau=DEFAULT_TAU, t_samples=9):
+def perturb_bound(p, p_prime, params, tau=DEFAULT_TAU):
     """Degraded parameters (eps + 5 delta, r) after replacing p by p_prime.
 
     Requires p to be an (eps, r)-quasi-projection, p_prime self-adjoint with
     propagation below r, and delta = ||p - p_prime|| < 1/4.  Asserts the
-    bound on p_prime and on sampled linear interpolants before returning.
+    bound on p_prime and on nine sampled interpolants before returning.
     """
-    ok, wit = is_quasi_projection(p, params, tau)
-    if not ok:
-        raise DomainError(f"base operator fails its quasi-test: {wit}")
+    require_quasi(p, "even", params, tau)
     if herm_defect(p_prime) > HERM_TOL:
         raise DomainError("perturbed operator is not self-adjoint")
     if propagation(p_prime, tau) >= params.r:
@@ -116,7 +129,7 @@ def perturb_bound(p, p_prime, params, tau=DEFAULT_TAU, t_samples=9):
     if delta >= 0.25:
         raise DomainError(f"||p - p'|| = {delta} >= 1/4")
     bound = params.eps + 5 * delta
-    for t in np.linspace(0.0, 1.0, t_samples):
+    for t in np.linspace(0.0, 1.0, 9):
         pt = t * p + (1 - t) * p_prime
         if projection_defect(pt) > bound + 1e-9:
             raise VerificationFailure(
@@ -221,15 +234,11 @@ class KClassRep:
             raise DomainError("parity must be 'even' or 'odd'")
 
     def check(self, tau=DEFAULT_TAU):
+        ok, wit = is_quasi(self.rep, self.parity, self.params, tau)
         if self.parity == "even":
-            ok, wit = is_quasi_projection(self.rep, self.params, tau)
             tagged = scalar_rank(self.rep)
-            if tagged != self.ell:
-                ok = False
-            wit["scalar_rank"] = tagged
-            wit["ell"] = self.ell
-        else:
-            ok, wit = is_quasi_unitary(self.rep, self.params, tau)
+            ok = ok and tagged == self.ell
+            wit.update(scalar_rank=tagged, ell=self.ell)
         return ok, wit
 
 
@@ -245,42 +254,38 @@ def stabilize(x, k):
     return KClassRep(x.parity, rep, x.params, ell)
 
 
-def k0_points(p, params, tau=DEFAULT_TAU, ell=None, r0=None):
+def k0_points(p, params, tau=DEFAULT_TAU, ell=None):
     """Per-point class vector of a quasi-projection over a 0-dimensional space.
 
-    Every pairwise distance must be at least the declared separation (or
-    infinite) and the propagation bound must sit below it, so the operator
-    is necessarily block-diagonal over points; the value at point j is
-    rank chi(p_j) minus the scalar contribution ell * d_j.
+    With r below every distance between points the operator is
+    block-diagonal over points; the value at point j is rank chi(p_j)
+    minus the scalar contribution ell * d_j.
     """
     space = p.space
     n = len(space)
     if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        separation = float(space.dist[off].min())
-        if r0 is not None and separation < r0:
-            raise DomainError(f"point separation {separation} below declared {r0}")
+        separation = float(space.dist[~np.eye(n, dtype=bool)].min())
         if params.r >= separation:
             raise DomainError(
                 f"r={params.r} not below the point separation {separation}")
-    ok, wit = is_quasi_projection(p, params, tau)
-    if not ok:
-        raise DomainError(f"operator fails its quasi-test: {wit}")
+    require_quasi(p, "even", params, tau)
     if ell is None:
         ell = scalar_rank(p)
+    leaks = block_abs_max(p) > tau
+    np.fill_diagonal(leaks, False)
+    if leaks.any():
+        raise PropagationError(
+            f"off-diagonal block at point {leaks.any(axis=1).argmax()} above tau; "
+            "r too large or p invalid")
     m = p.concrete()
     classes = np.zeros(n, dtype=int)
     for j in range(n):
         coords = coordinates_of(space, p.amplification, [j])
-        others = np.setdiff1d(np.arange(p.dim), coords)
-        if others.size and np.abs(m[np.ix_(coords, others)]).max(initial=0.0) > tau:
-            raise PropagationError(
-                f"off-diagonal block at point {j} above tau; r too large or p invalid")
         block = m[np.ix_(coords, coords)]
-        lam = np.linalg.eigvalsh((block + block.conj().T) / 2)
-        if np.abs(lam * lam - lam).max(initial=0.0) >= 0.25:
+        block = (block + block.conj().T) / 2
+        if projection_defect(block) >= 0.25:
             raise SpectralGapError(f"block at point {j} has no spectral gap")
-        classes[j] = int((lam > 0.5).sum()) - ell * int(space.internal_dims[j])
+        classes[j] = chi_rank(block) - ell * int(space.internal_dims[j])
     return classes
 
 
@@ -318,10 +323,15 @@ def step_norms(ops):
 
 
 def measure_samples(samples, parity, tau=DEFAULT_TAU):
-    """(defect, propagation, not self-adjoint) of every sample; the last is
-    measured only for even parity, the only one that requires it."""
-    return [(quasi_defect(s, parity), propagation(s, tau),
-             parity == "even" and herm_defect(s) > HERM_TOL) for s in samples]
+    """``measure`` of every sample."""
+    return [measure(s, parity, tau) for s in samples]
+
+
+def witness_defect(wit):
+    """The defect that eps bounds: the projection or larger unitary one."""
+    if "projection_defect" in wit:
+        return wit["projection_defect"]
+    return max(wit["left_defect"], wit["right_defect"])
 
 
 def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TAU):
@@ -332,7 +342,7 @@ def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TA
     """
     delta = opnorm(p - p_prime)
     measured = measure_samples([p, p_prime], parity, tau)
-    worst = max(m[0] for m in measured)
+    worst = max(map(witness_defect, measured))
     if 5 * delta + worst >= ambient.eps:
         raise CertificateError(
             f"gap too large: 5*{delta} + {worst} >= {ambient.eps}; subdivide")
@@ -375,7 +385,7 @@ def resample_certificate(path, eps, r=None, parity="even", replacements=None,
                 f"step {i} too coarse: {d} > eps/15 = {eps / 15}; refine there")
     measured = measure_samples(samples, parity, tau)
     if r is None:
-        r = max(m[1] for m in measured) * (1 + 1e-9) + 1e-15
+        r = max(m["propagation"] for m in measured) * (1 + 1e-9) + 1e-15
     steps = gaps if replacements is None else step_norms(samples)
     cert = HomotopyCertificate(parity, samples, QuasiParams(2 * eps, r), steps)
     ok, report = judge_certificate(cert, measured, steps)
@@ -390,16 +400,18 @@ def judge_certificate(cert, measured, steps):
     (verdict, report).
 
     ``measured`` holds ``measure_samples`` of the samples and ``steps`` the
-    ``step_norms`` of the samples.  For a linear step p_t = (1-t) p0 + t p1
-    of size d the defect obeys the exact identity
+    ``step_norms`` of the samples.  Each sample must be self-adjoint (even
+    parity) with defect below eps and propagation below r.  For a linear
+    step p_t = (1-t) p0 + t p1 of size d the defect obeys the exact identity
     p_t^2 - p_t = (1-t)(p0^2-p0) + t(p1^2-p1) - t(1-t)(p0-p1)^2
     (and its unitary analogue), so a step is admissible when
     max(e0, e1) + d^2/4 stays within the ambient eps.
     """
     failures = []
-    defects, props, _ = zip(*measured)
-    for i, (d, p, asymmetric) in enumerate(measured):
-        if asymmetric:
+    defects = [witness_defect(w) for w in measured]
+    props = [w["propagation"] for w in measured]
+    for i, (w, d, p) in enumerate(zip(measured, defects, props)):
+        if cert.parity == "even" and w["herm_defect"] > HERM_TOL:
             failures.append((i, "sample not self-adjoint"))
         if d >= cert.params.eps:
             failures.append((i, f"sample defect {d} >= eps {cert.params.eps}"))
@@ -495,10 +507,9 @@ class ControlPair:
         return cls(lam, evaluate, eps_grid[0], label)
 
     @classmethod
-    def from_function(cls, lam, fn, label="h", grid=None):
-        n = grid or cls.GRID
+    def from_function(cls, lam, fn, label="h"):
         hi = 1 / (4 * lam)
-        eps_grid = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), n)
+        eps_grid = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), cls.GRID)
         return cls.from_table(lam, eps_grid, [fn(e) for e in eps_grid], label)
 
     @classmethod

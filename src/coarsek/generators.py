@@ -11,9 +11,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .controlled import unitary_defects
+from .controlled import chi_rank, projection_defect, unitary_defects
 from .errors import DomainError
 from .operator import FiniteOperator, coordinates_of, expand_point_mask, opnorm
+
+TRIES = 8  # attempts of the quasi-element generators, each with weaker noise
 
 
 def rng_from(seed):
@@ -70,8 +72,7 @@ def banded_near_unitary(space, r, rng, amplification=1, strength=0.25):
     return expm(skew)
 
 
-def random_quasi_projection(space, params, rng, amplification=1, rank=None,
-                            max_tries=8):
+def random_quasi_projection(space, params, rng, amplification=1, rank=None):
     """Quasi-projection with a known spectral-projection rank.
 
     Conjugates a 0/1 diagonal (plus uniform diagonal noise below eps/2) by a
@@ -90,7 +91,7 @@ def random_quasi_projection(space, params, rng, amplification=1, rank=None,
     noise_level = params.eps / 2
     # keep the rotation weak enough that masking its tails costs less than eps
     strength = min(0.25, 3 * params.eps)
-    for _ in range(max_tries):
+    for _ in range(TRIES):
         noise = rng.uniform(-noise_level, noise_level, size=n)
         d = diag01 + noise
         v = banded_near_unitary(space, params.r / 3, rng, amplification,
@@ -99,20 +100,18 @@ def random_quasi_projection(space, params, rng, amplification=1, rank=None,
         m = m * mask
         m = (m + m.conj().T) / 2
         p = FiniteOperator(space, m, amplification)
-        lam = np.linalg.eigvalsh(m)
-        defect = float(np.abs(lam * lam - lam).max())
-        if defect < 0.9 * params.eps and int((lam > 0.5).sum()) == rank:
+        if projection_defect(p) < 0.9 * params.eps and chi_rank(p) == rank:
             return p, rank
         noise_level /= 2
     raise DomainError("could not reach the requested quasi-projection level; "
                       "band too tight for this space")
 
 
-def random_quasi_unitary(space, params, rng, amplification=1, max_tries=8):
+def random_quasi_unitary(space, params, rng, amplification=1):
     """Quasi-unitary: random phases times a masked banded near-unitary."""
     n = amplification * space.total_dim
     strength = 0.25
-    for _ in range(max_tries):
+    for _ in range(TRIES):
         v = banded_near_unitary(space, params.r / 3, rng, amplification,
                                 strength=strength)
         v = v * band_mask(space, amplification, params.r)

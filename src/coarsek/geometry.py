@@ -138,7 +138,7 @@ class SampledSpace:
     """A finite metric-measure stand-in for the realization of a complex.
 
     points        list of SamplePoint
-    dist          (N, N) symmetric matrix, inf between components
+    dist          (N, N) symmetric nonnegative matrix, inf between components
     internal_dims per-point fiber dimension of the module
     mesh          discretization parameter used (None for raw spaces)
     """
@@ -149,7 +149,9 @@ class SampledSpace:
         n = len(self.points)
         if dist.shape != (n, n):
             raise MalformedInputError("distance matrix shape mismatch")
-        if not np.allclose(dist, dist.T, atol=1e-12, equal_nan=True):
+        if not (dist >= 0).all():  # false for NaN as for negative entries
+            raise MalformedInputError("distances must be nonnegative or inf")
+        if not np.allclose(dist, dist.T, atol=1e-12):
             raise MalformedInputError("distance matrix not symmetric")
         dims = np.asarray(internal_dims, dtype=int)
         if dims.shape != (n,) or (dims < 1).any():

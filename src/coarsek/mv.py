@@ -28,7 +28,7 @@ import numpy as np
 from .controlled import kappa_even
 from .errors import DomainError, PropagationError, VerificationFailure
 from .generators import random_banded, random_region_supported, trial_rngs
-from .geometry import decompose, neighborhood
+from .geometry import center_distances, decompose, neighborhood
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
@@ -38,6 +38,8 @@ from .operator import (
     restrict,
     support,
 )
+
+MARGIN = 1 / 10  # neighborhood width of a decomposition's regions, before scale
 
 
 def split_masks(m1, m2):
@@ -121,10 +123,10 @@ class MvPair:
             raise DomainError("each region must sit inside its neighborhood")
 
     @classmethod
-    def from_decomposition(cls, space, complex_, r=1 / 50, margin=1 / 10):
+    def from_decomposition(cls, space, complex_, r=1 / 50):
         x1, x2 = decompose(space, complex_)
-        return cls(x1, x2, neighborhood(space, x1, margin),
-                   neighborhood(space, x2, margin), r)
+        return cls(x1, x2, neighborhood(space, x1, MARGIN),
+                   neighborhood(space, x2, MARGIN), r)
 
 
 def neighborhood_containment(space, delta_mask, a_mask, r, trials=20, seed=0,
@@ -175,8 +177,8 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
     for s in s_grid:
         scale_split = 0.0
         scale_cia = 0.0
-        sig1 = neighborhood(space, pair.delta1, 1 / 10 + s)
-        sig_masks = split_masks(sig1, neighborhood(space, pair.delta2, 1 / 10 + s))
+        sig1 = neighborhood(space, pair.delta1, MARGIN + s)
+        sig_masks = split_masks(sig1, neighborhood(space, pair.delta2, MARGIN + s))
         for _ in range(per_scale):
             rng = next(rngs)
             x = random_banded(space, s, rng, amplification, norm=1.0)
@@ -245,8 +247,6 @@ class CutFunction:
 def cut_from_decomposition(space, complex_):
     """Cut function from the normalized center distance: 1 on the deep inner
     piece, 0 on the deep outer piece, linear across the [0.45, 0.55] band."""
-    from .geometry import center_distances
-
     dmin = np.full(len(space), np.inf)
     for s in complex_.top_simplices():
         dmin = np.minimum(dmin, center_distances(space, complex_, s))

@@ -145,8 +145,8 @@ def coordinates_of(space, amplification, points, dims=None):
     return (copies + one_copy).ravel()
 
 
-def nearly_hermitian(m, tol=1e-13):
-    return np.linalg.norm(m - m.conj().T) <= tol * max(1.0, np.linalg.norm(m))
+def nearly_hermitian(m):
+    return np.linalg.norm(m - m.conj().T) <= 1e-13 * max(1.0, np.linalg.norm(m))
 
 
 def opnorm(op):
@@ -241,8 +241,13 @@ def block_abs_max(op):
     the max over copy pairs, then over each point's coordinate range."""
     k, n = op.amplification, op.space.total_dim
     a = np.abs(op.concrete()).reshape(k, n, k, n).max(axis=(0, 2))
-    starts = op.space.offsets[:-1]
-    return np.maximum.reduceat(np.maximum.reduceat(a, starts, axis=0), starts, axis=1)
+    return point_block_max(a, op.space, op.space)
+
+
+def point_block_max(a, rows, cols):
+    """Max of a nonnegative matrix over each (row point, column point) block."""
+    return np.maximum.reduceat(np.maximum.reduceat(a, rows.offsets[:-1], axis=0),
+                               cols.offsets[:-1], axis=1)
 
 
 def support(op, tau=DEFAULT_TAU):

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import (QuasiParams, is_quasi_projection, is_quasi_unitary,
-                         step_norms)
+from .controlled import QuasiParams, is_quasi, step_norms
 from .errors import DomainError, NoDecayError
 from .operator import DEFAULT_TAU, propagation
 
@@ -110,17 +109,14 @@ def check_path_quasi(path, params, parity="even", tau=DEFAULT_TAU):
     if params.eps >= PATH_EPS_GATE:
         raise DomainError(
             f"path contexts require eps < {PATH_EPS_GATE}; got {params.eps}")
-    gate = "1/8" if params.eps * 2 >= 0.25 or params.eps >= PATH_EPS_GATE / 2 \
-        else "1/4"
-    test = is_quasi_projection if parity == "even" else is_quasi_unitary
-    sample_reports = []
-    ok = True
+    gate = "1/8" if params.eps >= PATH_EPS_GATE / 2 else "1/4"
+    samples = []
     for t, v in zip(path.times, path.values):
-        good, wit = test(v, params, tau)
-        ok = ok and good
-        sample_reports.append({"time": float(t), "ok": good, **wit})
-    return ok, {"parity": parity, "eps_gate": gate,
-                "modulus": path.modulus, "samples": sample_reports}
+        good, wit = is_quasi(v, parity, params, tau)
+        samples.append({"time": float(t), "ok": good, **wit})
+    return all(s["ok"] for s in samples), {
+        "parity": parity, "eps_gate": gate, "modulus": path.modulus,
+        "samples": samples}
 
 
 def interpolated_params(path, params):

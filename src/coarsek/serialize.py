@@ -21,10 +21,12 @@ import tempfile
 
 import numpy as np
 
+from .coarse import CoarseMap, LipschitzHomotopy
 from .controlled import HomotopyCertificate, KClassRep, QuasiParams
 from .errors import MalformedInputError
 from .geometry import SamplePoint, SampledSpace, build_complex
 from .operator import FiniteOperator
+from .paths import PathOperator
 
 _F = "{:.17g}"
 
@@ -305,8 +307,6 @@ def loads_coarse_map(text, source, target):
 
 
 def _parse_coarse_map(rd, source, target):
-    from .coarse import CoarseMap
-
     rd.tag("coarsek-map v1")
     for label, space in (("source", source), ("target", target)):
         if rd.field(label) != space_hash(space):
@@ -331,8 +331,6 @@ def dumps_homotopy(hom):
 
 
 def loads_homotopy(text, source, target):
-    from .coarse import LipschitzHomotopy
-
     with _Reader(text) as rd:
         rd.tag("coarsek-homotopy v1")
         lipschitz = rd.field("lipschitz", float)
@@ -352,8 +350,6 @@ def dumps_path(path):
 
 
 def loads_path(text, space):
-    from .paths import PathOperator
-
     with _Reader(text) as rd:
         rd.tag("coarsek-path v1")
         times = rd.field("times", _numbers)

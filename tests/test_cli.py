@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from coarsek.generators import (
     random_blockdiag_quasi_projection,
     shift_unitary,
 )
-from coarsek.geometry import SampledSpace, circle_space, discretize
+from coarsek.geometry import (SampledSpace, build_complex, circle_space,
+                              discretize)
 from coarsek.mv import circle_cut
 from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
@@ -23,6 +25,7 @@ from coarsek.serialize import (
     dumps_path,
     dumps_space,
     loads_report,
+    space_hash,
 )
 
 
@@ -300,6 +303,28 @@ class TestStrictInputs:
                          "--out", outdir])
             assert code == 2, f"{kind} cut after {k} lines exited {code}"
             assert capsys.readouterr().err.startswith("FAIL: line ")
+
+    @pytest.mark.parametrize("command", ["op-prop", "quasi-check"])
+    @pytest.mark.parametrize("bad", ["nan", "-5"])
+    def test_nan_or_negative_distance_exits_2(self, tmp_path, outdir, capsys,
+                                              command, bad):
+        space = discretize(build_complex([(0, 1)]), 0.5)
+        rows = dumps_space(space).splitlines()
+        at = rows.index("dist:") + 1
+        for i, j in ((0, 2), (2, 0)):
+            row = rows[at + i].split()
+            row[j] = bad
+            rows[at + i] = " ".join(row)
+        text = "\n".join(rows) + "\n"
+        sf = write(tmp_path / "space.txt", text)
+        # the operator names the edited space by its hash, so only the
+        # distances can be at fault
+        op = dumps_operator(FiniteOperator(space, np.ones((5, 5), dtype=complex)))
+        opf = write(tmp_path / "op.txt", op.replace(
+            space_hash(space), hashlib.sha256(text.encode()).hexdigest()[:16]))
+        assert main([command, sf, opf, "--epsilon", "0.1", "--r", "5",
+                     "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: ")
 
     def test_empty_times_in_path(self, tmp_path, outdir, capsys):
         files = self._files(tmp_path)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_same_report
 from coarsek.coarse import (
     CoarseMap,
+    CoverIsometry,
     LipschitzHomotopy,
     _certify_path,
     ad,
@@ -128,6 +131,47 @@ class TestDeltaCover:
         v2 = delta_cover(f, 0.3, bias="pack-high")
         assert not np.allclose(v1.matrix, v2.matrix)
         assert v1.support_violations() == v2.support_violations() == []
+
+
+def loop_support_violations(v, tau=1e-12):
+    """The exhaustive point-pair scan, kept as the oracle for
+    ``CoverIsometry.support_violations``."""
+    src, tgt = v.map.source, v.map.target
+    out = []
+    for y in range(len(tgt)):
+        ys = slice(tgt.offsets[y], tgt.offsets[y + 1])
+        for x in range(len(src)):
+            xs = slice(src.offsets[x], src.offsets[x + 1])
+            if np.abs(v.matrix[ys, xs]).max(initial=0.0) > tau:
+                if not tgt.dist[y, v.map(x)] < v.delta:
+                    out.append((y, x))
+    return out
+
+
+@pytest.fixture(scope="module")
+def cover_map():
+    """The certify workload's map: the edge at mesh 0.08 into its fat copy."""
+    edge = build_complex([(0, 1)])
+    thin = discretize(edge, 0.08)
+    fat = discretize(edge, 0.08, fiber_dim=2)
+    return CoarseMap(thin, fat, np.random.default_rng(0).permutation(len(thin)))
+
+
+@given(seed=st.integers(0, 10_000), fill=st.sampled_from([0.05, 0.3, 1.0]),
+       delta=st.floats(0.01, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_support_violations_match_the_pair_scan(cover_map, seed, fill, delta):
+    src, tgt = cover_map.source, cover_map.target
+    rng = np.random.default_rng(seed)
+    n, m = tgt.total_dim, src.total_dim
+    entries = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    entries *= rng.random((n, m)) < fill
+    entries[rng.random((n, m)) < 0.1] = 1e-13  # held, but below tau
+    v = object.__new__(CoverIsometry)  # any matrix, not only isometries
+    v.map, v.delta, v.matrix = cover_map, delta, entries
+    got = v.support_violations()
+    assert got == loop_support_violations(v)
+    assert all(type(i) is int for pair in got for i in pair)
 
 
 def support_pairs_of_cover(v):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsek.controlled import (
+    HERM_TOL,
     ControlPair,
     HomotopyCertificate,
     KClassRep,
@@ -14,11 +17,14 @@ from coarsek.controlled import (
     compose_control_pairs,
     forbidden_band,
     interpolation_certificate,
+    is_quasi,
     is_quasi_projection,
     is_quasi_unitary,
     k0_points,
     kappa_even,
     kappa_odd,
+    judge_certificate,
+    measure,
     perturb_bound,
     projection_defect,
     relaxed_params,
@@ -40,11 +46,18 @@ from coarsek.generators import (
     random_banded,
     random_blockdiag_quasi_projection,
     random_quasi_projection,
+    random_quasi_unitary,
     shift_unitary,
     trial_rngs,
 )
-from coarsek.geometry import SampledSpace
-from coarsek.operator import FiniteOperator, opnorm, propagation
+from coarsek.geometry import SampledSpace, uniform_edge_space
+from coarsek.operator import (
+    FiniteOperator,
+    coordinates_of,
+    herm_defect,
+    opnorm,
+    propagation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -510,3 +523,171 @@ def test_stabilize_odd_parity(pt2):
     assert big.rep.amplification == 4
     ok, wit = big.check()
     assert ok, wit
+
+
+class TestOneRule:
+    """Membership is the certificate rule on the one-sample path."""
+
+    @staticmethod
+    def one_sample_verdict(x, parity, params):
+        cert = HomotopyCertificate(parity, [x], params)
+        return judge_certificate(cert, [measure(x, parity)], [])[0]
+
+    @pytest.fixture(scope="class")
+    def line(self):
+        return uniform_edge_space(6, fiber_dim=2)
+
+    @pytest.fixture(scope="class")
+    def even_element(self, line):
+        p, _ = random_quasi_projection(line, QuasiParams(0.1, 2.0),
+                                       np.random.default_rng(3))
+        return p
+
+    @pytest.fixture(scope="class")
+    def odd_element(self, line):
+        return random_quasi_unitary(line, QuasiParams(0.1, 2.0),
+                                    np.random.default_rng(4))
+
+    @staticmethod
+    def asymmetric(p, herm):
+        """p plus i herm/2 at one diagonal entry: herm_defect is herm."""
+        m = p.entries.copy()
+        m[0, 0] += 0.5j * herm
+        return FiniteOperator(p.space, m)
+
+    @pytest.mark.parametrize("eps_factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    @pytest.mark.parametrize("r_factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    @pytest.mark.parametrize("herm_factor", [None, 1 - 1e-6, 1 + 1e-6])
+    def test_even_bounds(self, even_element, eps_factor, r_factor,
+                         herm_factor):
+        p = even_element
+        if herm_factor is not None:
+            p = self.asymmetric(p, herm_factor * HERM_TOL)
+            assert (herm_defect(p) > HERM_TOL) == (herm_factor > 1)
+        defect, prop = projection_defect(p), propagation(p)
+        params = QuasiParams(defect * eps_factor, prop * r_factor)
+        ok, wit = is_quasi_projection(p, params)
+        assert ok == self.one_sample_verdict(p, "even", params)
+        assert ok == (herm_defect(p) <= HERM_TOL and defect < params.eps
+                      and prop < params.r)
+        assert ok == (eps_factor > 1 and r_factor > 1
+                      and (herm_factor is None or herm_factor < 1))
+        assert list(wit) == ["herm_defect", "projection_defect",
+                             "propagation", "eps", "r"]
+
+    @pytest.mark.parametrize("eps_factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    @pytest.mark.parametrize("r_factor", [1 - 1e-9, 1.0, 1 + 1e-9])
+    def test_odd_bounds(self, odd_element, eps_factor, r_factor):
+        u = odd_element
+        left, right = unitary_defects(u)
+        prop = propagation(u)
+        params = QuasiParams(max(left, right) * eps_factor, prop * r_factor)
+        ok, wit = is_quasi_unitary(u, params)
+        assert ok == self.one_sample_verdict(u, "odd", params)
+        assert ok == (left < params.eps and right < params.eps
+                      and prop < params.r)
+        assert ok == (eps_factor > 1 and r_factor > 1)
+        assert list(wit) == ["left_defect", "right_defect", "propagation",
+                             "eps", "r"]
+
+    def test_odd_parity_ignores_self_adjointness(self, pt2):
+        u = FiniteOperator(pt2, np.diag([1.0, 1j]))
+        assert herm_defect(u) > HERM_TOL
+        assert is_quasi(u, "odd", QuasiParams(0.01, 1.0))[0]
+
+    def test_unknown_parity(self, pt2):
+        p = diag_op(pt2, [1.0, 0.0])
+        with pytest.raises(DomainError):
+            is_quasi(p, "neither", QuasiParams(0.1, 1.0))
+        with pytest.raises(DomainError):
+            measure(p, "neither")
+
+
+def old_random_quasi_projection(space, params, rng, amplification=1,
+                                rank=None):
+    """The generator with its own eigenvalue reading, as it was before it
+    called ``projection_defect`` and ``chi_rank``; the oracle below."""
+    from coarsek.generators import band_mask, banded_near_unitary
+    n = amplification * space.total_dim
+    if rank is None:
+        rank = int(rng.integers(0, n + 1))
+    diag01 = np.zeros(n)
+    diag01[rng.permutation(n)[:rank]] = 1.0
+    mask = band_mask(space, amplification, params.r)
+    noise_level = params.eps / 2
+    strength = min(0.25, 3 * params.eps)
+    for _ in range(8):
+        noise = rng.uniform(-noise_level, noise_level, size=n)
+        d = diag01 + noise
+        v = banded_near_unitary(space, params.r / 3, rng, amplification,
+                                strength=strength)
+        m = (v * d) @ v.conj().T
+        m = m * mask
+        m = (m + m.conj().T) / 2
+        lam = np.linalg.eigvalsh(m)
+        defect = float(np.abs(lam * lam - lam).max())
+        if defect < 0.9 * params.eps and int((lam > 0.5).sum()) == rank:
+            return m, rank
+        noise_level /= 2
+    raise DomainError("could not reach the requested quasi-projection level")
+
+
+def old_k0_blocks(p):
+    """Per-point (defect, chi-rank) read inline from the symmetrized block,
+    as ``k0_points`` did before it called the shared readings."""
+    out = []
+    m = p.concrete()
+    for j in range(len(p.space)):
+        coords = coordinates_of(p.space, p.amplification, [j])
+        block = m[np.ix_(coords, coords)]
+        lam = np.linalg.eigvalsh((block + block.conj().T) / 2)
+        out.append((float(np.abs(lam * lam - lam).max(initial=0.0)),
+                    int((lam > 0.5).sum())))
+    return out
+
+
+class TestSharedSpectralReadings:
+    @given(seed=st.integers(0, 10_000), fiber=st.integers(1, 3),
+           eps=st.sampled_from([0.02, 0.1, 0.2]), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_generator_matches_inline_reading(self, seed, fiber, eps, data):
+        space = uniform_edge_space(5, fiber_dim=fiber)
+        rank = data.draw(st.integers(0, space.total_dim))
+        params = QuasiParams(eps, 0.8)
+        rng_new, rng_old = (np.random.default_rng(seed) for _ in range(2))
+        try:
+            want = old_random_quasi_projection(space, params, rng_old,
+                                               rank=rank)
+        except DomainError:
+            with pytest.raises(DomainError):
+                random_quasi_projection(space, params, rng_new, rank=rank)
+            return
+        p, got_rank = random_quasi_projection(space, params, rng_new,
+                                              rank=rank)
+        assert got_rank == want[1]
+        assert np.array_equal(p.entries, want[0])
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @given(seed=st.integers(0, 10_000),
+           dims=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           noise=st.sampled_from([0.0, 0.02, 0.2]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_k0_points_matches_inline_reading(self, seed, dims, noise, data):
+        n = len(dims)
+        d = np.ones((n, n))
+        np.fill_diagonal(d, 0.0)
+        space = SampledSpace.from_distance_matrix(d, internal_dims=dims)
+        ranks = [data.draw(st.integers(0, k)) for k in dims]
+        p = random_blockdiag_quasi_projection(
+            space, np.random.default_rng(seed), ranks, noise=noise)
+        want = old_k0_blocks(p)
+        m = p.concrete()
+        for j, (defect, rank) in enumerate(want):
+            coords = coordinates_of(space, 1, [j])
+            block = m[np.ix_(coords, coords)]
+            block = (block + block.conj().T) / 2
+            assert repr(projection_defect(block)) == repr(defect)
+            assert chi_rank(block) == rank
+        params = QuasiParams(0.2, 0.5)
+        if is_quasi_projection(p, params)[0]:
+            assert list(k0_points(p, params)) == [rank for _, rank in want]

@@ -309,3 +309,16 @@ def test_mixed_dimension_complex_decomposition():
     assert x1[triangle_center] and not x2[triangle_center]
     isolated = next(i for i, p in enumerate(s.points) if p.carrier == (9,))
     assert np.isinf(s.dist[isolated, triangle_center])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -5.0, -np.inf])
+def test_nan_and_negative_distances_rejected(bad):
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    d[0, 2] = d[2, 0] = bad
+    with pytest.raises(MalformedInputError):
+        SampledSpace.from_distance_matrix(d)
+
+
+def test_infinite_distances_kept():
+    d = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    assert SampledSpace.from_distance_matrix(d).dist[0, 1] == np.inf
