@@ -36,6 +36,7 @@ KNOB_DEFAULTS = {
     "parity": "even",
     "out": ".",
 }
+CHOICES = {"parity": ("even", "odd")}  # knobs with a closed set of values
 
 
 # Exit code of an error: the first row whose type matches.
@@ -221,7 +222,7 @@ def build_parser():
             p.add_argument(pos)
         for key, default in KNOB_DEFAULTS.items():
             p.add_argument(f"--{key}", type=int if default is None else type(default),
-                           choices=("even", "odd") if key == "parity" else None)
+                           choices=CHOICES.get(key))
     rp = sub.add_parser("report", help="merge report files")
     rp.add_argument("inputs", nargs="*")
     rp.add_argument("--out")
@@ -229,29 +230,29 @@ def build_parser():
 
 
 def resolve_knobs(args):
-    config = {}
+    """Defaults, then the config file's values (checked as flags are), then flags."""
+    knobs = dict(KNOB_DEFAULTS)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise MalformedInputError(f"config line {ln}: expected key = value")
-                config[key.strip()] = (ln, value.strip())
-    knobs = dict(KNOB_DEFAULTS)
-    for key, default in KNOB_DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            knobs[key] = flag
-        elif key in config:
-            ln, raw = config[key]
-            try:
-                knobs[key] = int(float(raw)) if default is None else type(default)(raw)
-            except (ValueError, OverflowError) as exc:
-                raise MalformedInputError(
-                    f"config line {ln}: bad {key} value {raw!r}") from exc
+                key, eq, raw = (part.strip() for part in line.partition("="))
+                if not eq or key not in KNOB_DEFAULTS:
+                    raise MalformedInputError(f"config line {ln}: " + (
+                        f"unknown key {key!r}" if eq else "expected key = value"))
+                default = KNOB_DEFAULTS[key]
+                try:
+                    knobs[key] = int(float(raw)) if default is None else type(default)(raw)
+                    if key in CHOICES and knobs[key] not in CHOICES[key]:
+                        raise ValueError(raw)
+                except (ValueError, OverflowError) as exc:
+                    raise MalformedInputError(
+                        f"config line {ln}: bad {key} value {raw!r}") from exc
+    for key in KNOB_DEFAULTS:
+        if getattr(args, key, None) is not None:
+            knobs[key] = getattr(args, key)
     return knobs
 
 

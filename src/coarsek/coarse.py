@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from .controlled import (
@@ -158,7 +159,7 @@ def delta_cover(f, delta, bias="nearest"):
                 f"a fiber of dimension {demand[x]}")
     cost = np.full((src.total_dim, tgt.total_dim), np.inf)
     tgt_point = tgt.point_of_coord
-    slot_rank = np.concatenate([np.arange(d) for d in tgt.internal_dims])
+    slot_rank = np.arange(tgt.total_dim) - tgt.offsets[tgt_point]
     tie = slot_rank if bias == "nearest" else slot_rank.max() - slot_rank
     for x in range(len(src)):
         open_slots = admissible[:, x][tgt_point]
@@ -252,12 +253,9 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
     k = p.amplification
     kd = k * tgt.total_dim
     u_lift = _lift_doubled(swap_unitary(Vf, Vg), k, tgt.total_dim)
-    x = np.zeros((4 * kd, 4 * kd), dtype=complex)
-    x[:kd, :kd] = ad(Vf, p).concrete()
-    zero2 = np.zeros((2 * kd, 2 * kd))
-    eye2 = np.eye(2 * kd)
-    diag_u_1 = np.block([[u_lift, zero2], [zero2, eye2]])
-    diag_1_ustar = np.block([[eye2, zero2], [zero2, u_lift.conj().T]])
+    x = block_diag(ad(Vf, p).concrete(), np.zeros((3 * kd, 3 * kd)))
+    diag_u_1 = block_diag(u_lift, np.eye(2 * kd))
+    diag_1_ustar = block_diag(np.eye(2 * kd), u_lift.conj().T)
 
     def sample(t):
         theta = (1.0 - t) * math.pi / 2
@@ -407,9 +405,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     def pair_cover(i, s):
         rot_y = _rotation2(math.pi / 2 * s, tgt.total_dim)
         rot_x = _rotation2(math.pi / 2 * s, u.space.total_dim)
-        stacked = np.block(
-            [[covers[i].matrix, np.zeros((tgt.total_dim, u.space.total_dim))],
-             [np.zeros((tgt.total_dim, u.space.total_dim)), covers[i + 1].matrix]])
+        stacked = block_diag(covers[i].matrix, covers[i + 1].matrix)
         return rot_y @ stacked @ rot_x.conj().T
 
     def gamma_slide_blocks(s):

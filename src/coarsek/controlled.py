@@ -31,7 +31,6 @@ from .errors import (
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
-    block_abs_max,
     coordinates_of,
     direct_sum,
     herm_defect,
@@ -174,11 +173,8 @@ def kappa_even(p, eps=None, band_tol=1e-9):
             f"eigenvalue {lam[inside][0]} inside the forbidden band ({lo}, {hi})")
     proj = (q * (lam > 0.5)) @ q.conj().T
     proj = (proj + proj.conj().T) / 2
-    if p.scalar is not None:
-        scalar = (np.real(p.scalar) >= 0.5).astype(complex)
-        entries = proj - np.diag(np.repeat(scalar, p.space.total_dim))
-        return FiniteOperator(p.space, entries, p.amplification, scalar)
-    return FiniteOperator(p.space, proj, p.amplification)
+    scalar = None if p.scalar is None else (np.real(p.scalar) >= 0.5).astype(complex)
+    return FiniteOperator.from_concrete(p.space, proj, p.amplification, scalar)
 
 
 def kappa_odd(u):
@@ -195,11 +191,8 @@ def kappa_odd(u):
     out = m @ inv_sqrt
     if max(unitary_defects(out)) > 1e-12:
         raise VerificationFailure("polar factor is not unitary to 1e-12")
-    if u.scalar is not None:
-        scalar = u.scalar / np.abs(u.scalar)
-        entries = out - np.diag(np.repeat(scalar, u.space.total_dim))
-        return FiniteOperator(u.space, entries, u.amplification, scalar)
-    return FiniteOperator(u.space, out, u.amplification)
+    scalar = None if u.scalar is None else u.scalar / np.abs(u.scalar)
+    return FiniteOperator.from_concrete(u.space, out, u.amplification, scalar)
 
 
 def chi_rank(p):
@@ -271,12 +264,6 @@ def k0_points(p, params, tau=DEFAULT_TAU, ell=None):
     require_quasi(p, "even", params, tau)
     if ell is None:
         ell = scalar_rank(p)
-    leaks = block_abs_max(p) > tau
-    np.fill_diagonal(leaks, False)
-    if leaks.any():
-        raise PropagationError(
-            f"off-diagonal block at point {leaks.any(axis=1).argmax()} above tau; "
-            "r too large or p invalid")
     m = p.concrete()
     classes = np.zeros(n, dtype=int)
     for j in range(n):

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from .controlled import chi_rank, projection_defect, unitary_defects
 from .errors import DomainError
-from .operator import FiniteOperator, coordinates_of, expand_point_mask, opnorm
+from .operator import FiniteOperator, coordinates_of, lift, opnorm
 
 TRIES = 8  # attempts of the quasi-element generators, each with weaker noise
 
@@ -31,7 +31,7 @@ def band_mask(space, amplification, r):
     """Coordinate mask of the strict metric band d < r (diagonal included)."""
     pts = space.dist < r
     np.fill_diagonal(pts, True)
-    return expand_point_mask(space, amplification, pts)
+    return lift(space, amplification, pts)
 
 
 def random_banded(space, r, rng, amplification=1, selfadjoint=False, norm=None):
@@ -52,8 +52,7 @@ def random_region_supported(space, region, rng, amplification=1, norm=1.0,
     region = np.asarray(region, dtype=bool)
     op = random_banded(space, band_r if band_r is not None else np.inf,
                        rng, amplification)
-    keep = np.outer(region, region)
-    m = op.entries * expand_point_mask(space, amplification, keep)
+    m = op.entries * lift(space, amplification, np.outer(region, region))
     if m.any() and norm is not None:
         m = m * (norm / opnorm(m))
     return FiniteOperator(space, m, amplification)
@@ -157,13 +156,9 @@ def phase_unitary(space, angles, amplification=1, unitized=True):
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (len(space),):
         raise DomainError("one angle per sample point required")
-    diag = np.repeat(np.exp(1j * angles), space.internal_dims)
-    full = np.tile(diag, amplification)
-    if unitized:
-        entries = np.diag(full - 1.0)
-        return FiniteOperator(space, entries, amplification,
-                              np.ones(amplification, dtype=complex))
-    return FiniteOperator(space, np.diag(full), amplification)
+    full = np.diag(lift(space, amplification, np.exp(1j * angles)))
+    scalar = np.ones(amplification, dtype=complex) if unitized else None
+    return FiniteOperator.from_concrete(space, full, amplification, scalar)
 
 
 def shift_unitary(space, order, power=1, amplification=1):
@@ -172,14 +167,8 @@ def shift_unitary(space, order, power=1, amplification=1):
     dims = space.internal_dims[order]
     if not (dims == dims[0]).all():
         raise DomainError("cyclic shift needs equal fiber dimensions")
-    n = space.total_dim
+    n = amplification * space.total_dim
     m = np.zeros((n, n), dtype=complex)
-    k = len(order)
-    for pos in range(k):
-        src = order[pos]
-        dst = order[(pos + power) % k]
-        so, do = space.offsets[src], space.offsets[dst]
-        m[do:do + dims[0], so:so + dims[0]] = np.eye(dims[0])
-    if amplification > 1:
-        m = np.kron(np.eye(amplification), m)
+    m[coordinates_of(space, amplification, np.roll(order, -power)),
+      coordinates_of(space, amplification, order)] = 1.0
     return FiniteOperator(space, m, amplification)

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .controlled import kappa_even
 from .errors import DomainError, PropagationError, VerificationFailure
@@ -33,7 +34,7 @@ from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
     block_abs_max,
-    coordinate_mask,
+    lift,
     opnorm,
     restrict,
     support,
@@ -295,8 +296,7 @@ def circle_cut(space, order, width=0.1):
 
 
 def _pointwise_rotation(space, amplification, phi):
-    theta = np.repeat(0.5 * math.pi * phi.values, space.internal_dims)
-    theta = np.tile(theta, amplification)
+    theta = lift(space, amplification, 0.5 * math.pi * phi.values)
     c = np.diag(np.cos(theta)).astype(complex)
     s = np.diag(np.sin(theta)).astype(complex)
     return np.block([[c, s], [-s, c]])
@@ -314,10 +314,8 @@ def clutching_projection(u, phi):
         raise DomainError("cut function must match the operator's space")
     n = u.dim
     rot = _pointwise_rotation(u.space, u.amplification, phi)
-    w = rot @ np.block([[u.concrete(), np.zeros((n, n))],
-                        [np.zeros((n, n)), np.eye(n)]]) @ rot.conj().T
-    d10 = np.zeros((2 * n, 2 * n), dtype=complex)
-    d10[:n, :n] = np.eye(n)
+    w = rot @ block_diag(u.concrete(), np.eye(n)) @ rot.conj().T
+    d10 = block_diag(np.eye(n, dtype=complex), np.zeros((n, n)))
     p = w @ d10 @ w.conj().T
     p = (p + p.conj().T) / 2
     return FiniteOperator(u.space, p, 2 * u.amplification)
@@ -333,7 +331,7 @@ def local_index(u, phi, region, tau=DEFAULT_TAU):
     one = FiniteOperator.identity(u.space, u.amplification, unitized=False)
     p_1 = clutching_projection(one, phi)
     diff = kappa_even(p_u).concrete() - kappa_even(p_1).concrete()
-    mask = coordinate_mask(u.space, p_u.amplification, region)
+    mask = lift(u.space, p_u.amplification, np.asarray(region, dtype=bool))
     raw = float(np.real(np.diag(diff)[mask].sum()))
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:

@@ -6,11 +6,18 @@ fiber per sample point).  Coordinates are stored copy-major: coordinate
 ``a``.  Elements of the unitization carry a per-copy scalar vector that is
 folded into the dense matrix only when a concrete matrix is needed, so the
 scalar bookkeeping stays exact.
+
+Only this module spells the layout out: ``coordinates_of`` (the coordinates
+of listed points), ``lift`` (per-point data to per-coordinate data),
+``block_abs_max``/``point_block_max`` (coordinate data back to point
+blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
+part) and ``direct_sum`` (copies side by side).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -74,6 +81,14 @@ class FiniteOperator:
             return self.entries
         return self.entries + np.diag(np.repeat(self.scalar, self.space.total_dim))
 
+    @classmethod
+    def from_concrete(cls, space, matrix, amplification=1, scalar=None):
+        """Inverse of ``concrete``: the scalar diagonal, when given, is
+        subtracted from the dense matrix."""
+        if scalar is not None:
+            matrix = matrix - np.diag(np.repeat(scalar, space.total_dim))
+        return cls(space, matrix, amplification, scalar)
+
     def with_scalar(self, scalar):
         return FiniteOperator(self.space, self.entries, self.amplification, scalar)
 
@@ -121,9 +136,7 @@ class FiniteOperator:
         sa = self.scalar if self.scalar is not None else np.zeros(self.amplification)
         sb = other.scalar if other.scalar is not None else np.zeros(other.amplification)
         prod = self.concrete() @ other.concrete()
-        scalar = sa * sb
-        entries = prod - np.diag(np.repeat(scalar, self.space.total_dim))
-        return FiniteOperator(self.space, entries, self.amplification, scalar)
+        return FiniteOperator.from_concrete(self.space, prod, self.amplification, sa * sb)
 
     def adjoint(self):
         scalar = None if self.scalar is None else np.conj(self.scalar)
@@ -277,19 +290,14 @@ def product_tau(s, t, tau=DEFAULT_TAU):
     return tau * max(1.0, opnorm(s) * opnorm(t))
 
 
-def expand_point_mask(space, amplification, point_mask_matrix):
-    """Lift an (N, N) boolean point-pair mask to coordinate level."""
-    row = np.tile(np.repeat(point_mask_matrix, space.internal_dims, axis=0),
-                  (amplification, 1))
-    full = np.tile(np.repeat(row, space.internal_dims, axis=1),
-                   (1, amplification))
-    return full.astype(bool)
-
-
-def coordinate_mask(space, amplification, point_mask):
-    """Boolean vector over coordinates selecting the masked points."""
-    return np.tile(np.repeat(np.asarray(point_mask, dtype=bool),
-                             space.internal_dims), amplification)
+def lift(space, amplification, values):
+    """Copy-major lift of point data: a per-point vector to a per-coordinate
+    vector, a point-pair matrix to a coordinate-pair matrix."""
+    idx = np.tile(space.point_of_coord, amplification)
+    values = np.asarray(values)
+    for axis in range(values.ndim):
+        values = values.take(idx, axis=axis)
+    return values
 
 
 def restrict(op, rows, cols):
@@ -299,9 +307,7 @@ def restrict(op, rows, cols):
     cols = np.asarray(cols, dtype=bool)
     if rows.all() and cols.all():
         return op
-    rmask = coordinate_mask(op.space, op.amplification, rows)
-    cmask = coordinate_mask(op.space, op.amplification, cols)
-    cut = op.concrete() * np.outer(rmask, cmask)
+    cut = op.concrete() * lift(op.space, op.amplification, np.outer(rows, cols))
     return FiniteOperator(op.space, cut, op.amplification)
 
 
@@ -340,19 +346,11 @@ def direct_sum(ops):
         if o.space.total_dim != space.total_dim:
             raise ShapeError("direct sum over mismatched spaces")
     k = sum(o.amplification for o in ops)
-    n = space.total_dim * k
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    scalars = []
-    unitized = any(o.scalar is not None for o in ops)
-    for o in ops:
-        d = o.dim
-        out[pos:pos + d, pos:pos + d] = o.entries
-        scalars.append(o.scalar if o.scalar is not None
-                       else np.zeros(o.amplification, dtype=complex))
-        pos += d
-    scalar = np.concatenate(scalars) if unitized else None
-    return FiniteOperator(space, out, k, scalar)
+    scalar = None
+    if any(o.scalar is not None for o in ops):
+        scalar = np.concatenate([np.zeros(o.amplification, dtype=complex)
+                                 if o.scalar is None else o.scalar for o in ops])
+    return FiniteOperator(space, block_diag(*(o.entries for o in ops)), k, scalar)
 
 
 def amplify_scalar_matrix(space, amplification, matrix):

@@ -352,6 +352,42 @@ class TestStrictInputs:
                      "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: config line 3: ")
 
+    def _quasi_check_inputs(self, tmp_path):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        space = SampledSpace.from_distance_matrix(d)
+        one = FiniteOperator(space, np.eye(2, dtype=complex))  # passes either parity
+        return [write(tmp_path / "space.txt", dumps_space(space)),
+                write(tmp_path / "one.txt", dumps_operator(one))]
+
+    @pytest.mark.parametrize("line", ["parity = foo", "parity = Even"])
+    def test_config_choice_checked_like_the_flag(self, tmp_path, outdir, capsys,
+                                                 line):
+        files = self._quasi_check_inputs(tmp_path)
+        assert main(["quasi-check", *files, "--parity", "foo",
+                     "--out", outdir]) == 2
+        capsys.readouterr()
+        cfg = write(tmp_path / "knobs.cfg", f"r = 0.5\n{line}\n")
+        assert main(["--config", cfg, "quasi-check", *files,
+                     "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: config line 2: bad parity")
+
+    def test_config_choice_accepted(self, tmp_path, outdir):
+        files = self._quasi_check_inputs(tmp_path)
+        cfg = write(tmp_path / "knobs.cfg", "parity = odd\nr = 0.5\n")
+        assert main(["--config", cfg, "quasi-check", *files,
+                     "--out", outdir]) == 0
+        fields, _ = read_report(outdir, "quasi-check")
+        assert fields["parity"] == "odd"
+
+    @pytest.mark.parametrize("line", ["epsilonn = 0.3", "= 0.3", "Epsilon = 0.3"])
+    def test_unknown_config_key(self, tmp_path, outdir, capsys, line):
+        files = self._quasi_check_inputs(tmp_path)
+        cfg = write(tmp_path / "knobs.cfg", f"# knobs\n{line}\n")
+        assert main(["--config", cfg, "quasi-check", *files,
+                     "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: config line 2: unknown key")
+        assert not os.path.exists(os.path.join(outdir, "quasi-check.report.txt"))
+
 
 class TestClutchingIndexInputs:
     @pytest.fixture()

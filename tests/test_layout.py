@@ -1,0 +1,64 @@
+"""Source guards: the copy-major layout is spelled out only in ``operator``
+(and ``geometry``, which defines ``point_of_coord``), and no module keeps an
+import it no longer uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coarsek"
+MODULES = sorted(SRC.glob("*.py"))
+LAYOUT_MODULES = {"operator.py", "geometry.py"}
+
+
+def tree_of(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def numpy_calls(tree, names):
+    """Line numbers of ``np.<name>(...)`` calls for the given names."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np" and node.func.attr in names]
+
+
+def unused_imports(tree):
+    """Top-level imported names that no expression of the module reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_modules_found():
+    assert {"operator.py", "generators.py", "mv.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in LAYOUT_MODULES],
+                         ids=lambda p: p.name)
+def test_layout_lifts_only_in_operator(path):
+    assert numpy_calls(tree_of(path), {"repeat", "tile"}) == [], (
+        f"{path.name} spells out the copy-major layout; use operator.lift, "
+        "FiniteOperator.from_concrete or coordinates_of")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(tree_of(path)) == []
+
+
+def test_guards_catch_what_they_name():
+    tree = ast.parse("import numpy as np\nfrom x import a, b\n"
+                     "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
+    assert numpy_calls(tree, {"repeat", "tile"}) == [3, 4]
+    assert unused_imports(tree) == [(2, "b")]

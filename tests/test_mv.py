@@ -304,6 +304,12 @@ class TestLocalIndex:
         assert abs(i0) == 1
         assert i1 == -i0
 
+    def test_integer_region_is_a_mask(self, circle32):
+        _, space, order = circle32
+        phi, reg0, _ = circle_cut(space, order)
+        s = shift_unitary(space, order)
+        assert local_index(s, phi, reg0.astype(int)) == local_index(s, phi, reg0)
+
     def test_shift_squared_doubles(self, circle32):
         _, space, order = circle32
         phi, reg0, _ = circle_cut(space, order)

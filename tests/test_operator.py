@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek.errors import DomainError, ShapeError
-from coarsek.generators import random_banded, rng_from
+from coarsek.generators import random_banded, rng_from, shift_unitary
 from coarsek.geometry import SampledSpace, build_complex, discretize
 from coarsek.operator import (
     FiniteOperator,
@@ -13,6 +13,7 @@ from coarsek.operator import (
     coordinates_of,
     direct_sum,
     fiber_projection,
+    lift,
     opnorm,
     product_tau,
     propagation,
@@ -264,3 +265,127 @@ class TestLayout:
         kept = np.flatnonzero(q.diagonal().real)
         assert kept.tolist() == [0, 6, 7, 8, 14, 15]
         assert q.dtype == complex
+
+
+# -- oracles: the layout spelled out by hand, as it was before ``lift``,
+# ``from_concrete`` and ``block_diag`` took it over ------------------------
+
+
+def oracle_expand_point_mask(space, amplification, point_mask_matrix):
+    # without the final bool cast of the original, so it takes any dtype
+    row = np.tile(np.repeat(point_mask_matrix, space.internal_dims, axis=0),
+                  (amplification, 1))
+    return np.tile(np.repeat(row, space.internal_dims, axis=1), (1, amplification))
+
+
+def oracle_coordinate_mask(space, amplification, point_mask):
+    return np.tile(np.repeat(point_mask, space.internal_dims), amplification)
+
+
+def oracle_shift_unitary(space, order, power, amplification):
+    dims = space.internal_dims[order]
+    n = space.total_dim
+    m = np.zeros((n, n), dtype=complex)
+    k = len(order)
+    for pos in range(k):
+        src = order[pos]
+        dst = order[(pos + power) % k]
+        so, do = space.offsets[src], space.offsets[dst]
+        m[do:do + dims[0], so:so + dims[0]] = np.eye(dims[0])
+    if amplification > 1:
+        m = np.kron(np.eye(amplification), m)
+    return m
+
+
+def oracle_direct_sum(ops):
+    k = sum(o.amplification for o in ops)
+    n = ops[0].space.total_dim * k
+    out = np.zeros((n, n), dtype=complex)
+    pos = 0
+    scalars = []
+    for o in ops:
+        d = o.dim
+        out[pos:pos + d, pos:pos + d] = o.entries
+        scalars.append(o.scalar if o.scalar is not None
+                       else np.zeros(o.amplification, dtype=complex))
+        pos += d
+    unitized = any(o.scalar is not None for o in ops)
+    return out, (np.concatenate(scalars) if unitized else None)
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def draw(rng, kind, shape):
+    if kind == "bool":
+        return rng.random(shape) < 0.5
+    if kind == "float":
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def line_space(dims):
+    n = len(dims)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    return SampledSpace.from_distance_matrix(d, internal_dims=dims)
+
+
+fiber_dims = st.lists(st.integers(1, 3), min_size=1, max_size=5)
+amplifications = st.integers(1, 3)
+seeds = st.integers(0, 10_000)
+
+
+@given(dims=fiber_dims, k=amplifications, seed=seeds,
+       kind=st.sampled_from(["bool", "float", "complex"]))
+@settings(max_examples=80, deadline=None)
+def test_lift_matches_repeat_tile_oracle(dims, k, seed, kind):
+    space = line_space(dims)
+    rng = np.random.default_rng(seed)
+    vec = draw(rng, kind, len(dims))
+    pairs = draw(rng, kind, (len(dims), len(dims)))
+    assert same_bits(lift(space, k, vec), oracle_coordinate_mask(space, k, vec))
+    assert same_bits(lift(space, k, pairs), oracle_expand_point_mask(space, k, pairs))
+
+
+@given(dims=fiber_dims, seed=seeds,
+       ks=st.lists(amplifications, min_size=1, max_size=4),
+       unitized=st.lists(st.booleans(), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_matches_placement_oracle(dims, seed, ks, unitized):
+    space = line_space(dims)
+    rng = np.random.default_rng(seed)
+    ops = [FiniteOperator(space, draw(rng, "complex", (k * space.total_dim,) * 2), k,
+                          draw(rng, "complex", k) if u else None)
+           for k, u in zip(ks, unitized)]
+    want_entries, want_scalar = oracle_direct_sum(ops)
+    got = direct_sum(ops)
+    assert got.amplification == sum(ks)
+    assert same_bits(got.entries, want_entries)
+    assert same_bits(got.scalar, want_scalar)
+
+
+@given(dims=fiber_dims, k=amplifications, seed=seeds, unitized=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_from_concrete_matches_inline_split(dims, k, seed, unitized):
+    space = line_space(dims)
+    rng = np.random.default_rng(seed)
+    matrix = draw(rng, "complex", (k * space.total_dim,) * 2)
+    scalar = draw(rng, "complex", k) if unitized else None
+    got = FiniteOperator.from_concrete(space, matrix, k, scalar)
+    want = matrix if scalar is None else \
+        matrix - np.diag(np.repeat(scalar, space.total_dim))
+    assert same_bits(got.entries, want)
+    assert same_bits(got.scalar, scalar)
+
+
+@given(d=st.integers(1, 3), n=st.integers(1, 5), k=amplifications, seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_shift_unitary_matches_loop_oracle(d, n, k, seed):
+    space = line_space([d] * n)
+    order = np.random.default_rng(seed).permutation(n)
+    for power in range(-3, n + 3):
+        got = shift_unitary(space, order, power, k)
+        assert same_bits(got.entries, oracle_shift_unitary(space, order, power, k))
