@@ -10,8 +10,9 @@ The quasi-test (``is_quasi``) is the certificate rule on the one-sample
 path at the element, so ``judge_certificate`` alone states it.
 ``judge_certificate`` admits a step of size d between samples of defects
 e0, e1 when max(e0, e1) + d^2/4 stays within eps (an exact identity); only
-``perturb_bound`` and the first check of ``interpolation_certificate`` use
-the coarser ||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
+``perturb_bound``, the first check of ``interpolation_certificate`` and
+``paths.interpolated_params`` (eps + 5 * modulus) use the coarser
+||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
 measured once; ``verify_certificate`` re-measures, for loaded certificates."""
 
 from __future__ import annotations

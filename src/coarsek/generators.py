@@ -162,10 +162,12 @@ def phase_unitary(space, angles, amplification=1, unitized=True):
 
 
 def shift_unitary(space, order, power=1, amplification=1):
-    """Cyclic shift along an ordered circle of samples (equal fibers)."""
+    """Cyclic shift along an ordered circle of samples (equal fibers);
+    ``order`` lists every sample point once."""
     order = np.asarray(order, dtype=int)
-    dims = space.internal_dims[order]
-    if not (dims == dims[0]).all():
+    if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(len(space))):
+        raise DomainError("order must list every sample point exactly once")
+    if not (space.internal_dims == space.internal_dims[0]).all():
         raise DomainError("cyclic shift needs equal fiber dimensions")
     n = amplification * space.total_dim
     m = np.zeros((n, n), dtype=complex)

@@ -137,15 +137,18 @@ def sphere_arc(b1, b2):
 class SampledSpace:
     """A finite metric-measure stand-in for the realization of a complex.
 
-    points        list of SamplePoint
+    points        tuple of SamplePoint
     dist          (N, N) symmetric nonnegative matrix, inf between components
     internal_dims per-point fiber dimension of the module
     mesh          discretization parameter used (None for raw spaces)
+
+    A built space does not change: ``points`` is a tuple and the arrays are
+    read-only copies, so ``serialize.space_hash`` computes its digest once.
     """
 
     def __init__(self, points, dist, internal_dims, mesh=None):
-        self.points = list(points)
-        dist = np.asarray(dist, dtype=float)
+        self.points = tuple(points)
+        dist = np.array(dist, dtype=float)  # a copy: the caller's array may change
         n = len(self.points)
         if dist.shape != (n, n):
             raise MalformedInputError("distance matrix shape mismatch")
@@ -153,7 +156,7 @@ class SampledSpace:
             raise MalformedInputError("distances must be nonnegative or inf")
         if not np.allclose(dist, dist.T, atol=1e-12):
             raise MalformedInputError("distance matrix not symmetric")
-        dims = np.asarray(internal_dims, dtype=int)
+        dims = np.array(internal_dims, dtype=int)
         if dims.shape != (n,) or (dims < 1).any():
             raise MalformedInputError("internal_dims must be positive per point")
         self.dist = dist

@@ -235,7 +235,7 @@ class CutFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if ((self.values < 0) | (self.values > 1)).any():
+        if (~((self.values >= 0) & (self.values <= 1))).any():  # NaN fails too
             raise DomainError("cut values must lie in [0, 1]")
         if self.band is None:
             self.band = (self.values > 0) & (self.values < 1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import weakref
 
 import numpy as np
 
@@ -27,17 +28,6 @@ from .errors import MalformedInputError
 from .geometry import SamplePoint, SampledSpace, build_complex
 from .operator import FiniteOperator
 from .paths import PathOperator
-
-_F = "{:.17g}"
-
-
-def _fmt(x):
-    return _F.format(float(x))
-
-
-def _fmt_complex(z):
-    return f"{_fmt(z.real)} {_fmt(z.imag)}"
-
 
 def atomic_write(path, text):
     path = os.fspath(path)
@@ -124,6 +114,15 @@ def _numbers(text, dtype=float, count=None):
     return values.view(complex) if width == 2 else values
 
 
+def _line(values, sep=" "):
+    """Numbers as ``%.17g`` tokens (``re im`` per complex), as ``_numbers`` reads them."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        values = np.stack([values.real, values.imag], axis=-1)
+    flat = values.astype(float).ravel().tolist()
+    return sep.join(["%.17g"] * len(flat)) % tuple(flat)
+
+
 def _records(label, records, dump):
     for i, record in enumerate(records):
         yield f"--- {label} {i} ---"
@@ -160,14 +159,12 @@ def loads_complex(text):
 
 def dumps_space(space):
     out = ["coarsek-space v1",
-           f"mesh: {'none' if space.mesh is None else _fmt(space.mesh)}",
+           f"mesh: {'none' if space.mesh is None else _line(space.mesh)}",
            f"points: {len(space)}"]
     for i, p in enumerate(space.points):
         carrier = ",".join(str(v) for v in p.carrier)
-        coords = ",".join(_fmt(c) for c in p.coords)
-        out.append(f"{i} {carrier} {coords} {space.internal_dims[i]}")
-    out.append("dist:")
-    out.extend(" ".join(_fmt(v) for v in row) for row in space.dist)
+        out.append(f"{i} {carrier} {_line(p.coords, ',')} {space.internal_dims[i]}")
+    out += ["dist:", *map(_line, space.dist)]
     return "\n".join(out) + "\n"
 
 
@@ -201,24 +198,27 @@ def _sample(line):
     return int(idx), point, int(d)
 
 
+_HASHES = weakref.WeakKeyDictionary()  # space -> digest; a built space does not change
+
+
 def space_hash(space):
-    digest = hashlib.sha256(dumps_space(space).encode("utf-8")).hexdigest()
-    return digest[:16]
+    if space not in _HASHES:
+        _HASHES[space] = hashlib.sha256(dumps_space(space).encode()).hexdigest()[:16]
+    return _HASHES[space]
 
 
 # -- operators ---------------------------------------------------------------
 
 
 def dumps_operator(op):
-    scalar = "none" if op.scalar is None \
-        else " ".join(_fmt_complex(z) for z in op.scalar)
+    scalar = "none" if op.scalar is None else _line(op.scalar)
     out = ["coarsek-operator v1",
            f"space: {space_hash(op.space)}",
            f"amplification: {op.amplification}",
            f"scalar: {scalar}",
            f"dim: {op.dim}",
            "entries:"]
-    out.extend(" ".join(_fmt_complex(z) for z in row) for row in op.entries)
+    out.extend(map(_line, op.entries))
     return "\n".join(out) + "\n"
 
 
@@ -249,8 +249,8 @@ def _parse_operator(rd, space):
 def dumps_kclass(rep):
     head = ["coarsek-kclass v1",
             f"parity: {rep.parity}",
-            f"epsilon: {_fmt(rep.params.eps)}",
-            f"r: {_fmt(rep.params.r)}",
+            f"epsilon: {_line(rep.params.eps)}",
+            f"r: {_line(rep.params.r)}",
             f"ell: {rep.ell}",
             "operator:"]
     return "\n".join(head) + "\n" + dumps_operator(rep.rep)
@@ -270,10 +270,10 @@ def loads_kclass(text, space):
 def dumps_certificate(cert):
     out = ["coarsek-certificate v1",
            f"parity: {cert.parity}",
-           f"epsilon: {_fmt(cert.params.eps)}",
-           f"r: {_fmt(cert.params.r)}",
+           f"epsilon: {_line(cert.params.eps)}",
+           f"r: {_line(cert.params.r)}",
            f"samples: {len(cert.samples)}",
-           "step_bounds: " + " ".join(_fmt(b) for b in cert.step_bounds),
+           f"step_bounds: {_line(cert.step_bounds)}",
            *_records("sample", cert.samples, dumps_operator)]
     return "\n".join(out) + "\n"
 
@@ -323,8 +323,8 @@ def _parse_coarse_map(rd, source, target):
 
 def dumps_homotopy(hom):
     out = ["coarsek-homotopy v1",
-           f"lipschitz: {_fmt(hom.lipschitz_bound)}",
-           "displacements: " + " ".join(_fmt(d) for d in hom.displacement_table),
+           f"lipschitz: {_line(hom.lipschitz_bound)}",
+           f"displacements: {_line(hom.displacement_table)}",
            f"frames: {len(hom.frames)}",
            *_records("frame", hom.frames, dumps_coarse_map)]
     return "\n".join(out) + "\n"
@@ -342,9 +342,9 @@ def loads_homotopy(text, source, target):
 
 def dumps_path(path):
     out = ["coarsek-path v1",
-           "times: " + " ".join(_fmt(t) for t in path.times),
-           f"modulus: {_fmt(path.modulus)}",
-           f"horizon: {_fmt(path.horizon)}",
+           f"times: {_line(path.times)}",
+           f"modulus: {_line(path.modulus)}",
+           f"horizon: {_line(path.horizon)}",
            *_records("sample", path.values, dumps_operator)]
     return "\n".join(out) + "\n"
 
@@ -365,12 +365,12 @@ def loads_path(text, space):
 
 
 def _report_lines(fields, table):
-    out = [f"{k}: {_fmt(v) if isinstance(v, float) else v}"
+    out = [f"{k}: {_line(v) if isinstance(v, float) else v}"
            for k, v in fields.items()]
     if table:
         out.append("[table]")
         out.append("quantity\tvalue\tbound\tmargin")
-        out.extend("\t".join(_fmt(v) if isinstance(v, float) else str(v)
+        out.extend("\t".join(_line(v) if isinstance(v, float) else str(v)
                              for v in row[:4]) for row in table)
     return out
 

@@ -418,6 +418,11 @@ class TestClutchingIndexInputs:
         assert self.run(tmp_path, outdir, inputs, inputs["cut"], region) == 2
         assert capsys.readouterr().err.startswith("FAIL: line ")
 
+    def test_nan_cut_value(self, tmp_path, outdir, inputs, capsys):
+        cut = "nan\n" + inputs["cut"].split("\n", 1)[1]
+        assert self.run(tmp_path, outdir, inputs, cut, inputs["region"]) == 3
+        assert "cut values must lie in [0, 1]" in capsys.readouterr().err
+
     def test_region_of_the_wrong_length(self, tmp_path, outdir, inputs,
                                         capsys):
         region = inputs["region"] + "\n1"

@@ -1,6 +1,6 @@
 """Source guards: the copy-major layout is spelled out only in ``operator``
-(and ``geometry``, which defines ``point_of_coord``), and no module keeps an
-import it no longer uses."""
+(and ``geometry``, which defines ``point_of_coord``), no module keeps an
+import it no longer uses, and no private top-level name is left unread."""
 
 import ast
 from pathlib import Path
@@ -39,6 +39,34 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def private_definitions(tree):
+    """(line, name) of each top-level ``_private`` function, class or constant."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node.lineno, name.id) for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(trees):
+    """Every name some expression reads, as a bare name, an attribute or an import."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_modules_found():
     assert {"operator.py", "generators.py", "mv.py"} <= {p.name for p in MODULES}
 
@@ -57,8 +85,22 @@ def test_no_unused_imports(path):
     assert unused_imports(tree_of(path)) == []
 
 
+def test_no_unread_private_names():
+    read = names_read(tree_of(path) for path in MODULES)
+    unread = [f"{path.name}:{line} {name}" for path in MODULES
+              for line, name in private_definitions(tree_of(path)) if name not in read]
+    assert unread == [], "private names that nothing in src/ reads"
+
+
 def test_guards_catch_what_they_name():
     tree = ast.parse("import numpy as np\nfrom x import a, b\n"
                      "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
     assert numpy_calls(tree, {"repeat", "tile"}) == [3, 4]
     assert unused_imports(tree) == [(2, "b")]
+    tree = ast.parse('_F = "{:.17g}"\n__all__ = []\n\n\ndef _fmt(x):\n    return _F % x\n\n\n'
+                     "def _fmt_complex(z):\n    return _fmt(z.real)\n\n\n"
+                     "class _Cursor:\n    pass\n\n\nv = m._Cursor\n")
+    assert private_definitions(tree) == [(1, "_F"), (5, "_fmt"), (9, "_fmt_complex"),
+                                         (13, "_Cursor")]
+    assert {"_F", "_fmt", "_Cursor"} <= names_read([tree])
+    assert "_fmt_complex" not in names_read([tree])

@@ -215,6 +215,11 @@ class TestCutFunctions:
         with pytest.raises(DomainError):
             CutFunction(np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("values", [[np.nan, np.nan], [0.5, np.nan], [-0.1, 0.5]])
+    def test_values_outside_the_unit_interval(self, values):
+        with pytest.raises(DomainError, match=r"cut values must lie in \[0, 1\]"):
+            CutFunction(np.array(values))
+
     def test_decomposition_cut(self, circle_fine):
         cx, space, _ = circle_fine
         phi = cut_from_decomposition(space, cx)

@@ -389,3 +389,13 @@ def test_shift_unitary_matches_loop_oracle(d, n, k, seed):
     for power in range(-3, n + 3):
         got = shift_unitary(space, order, power, k)
         assert same_bits(got.entries, oracle_shift_unitary(space, order, power, k))
+
+
+@pytest.mark.parametrize("order", [[], [0, 0, 1, 2], [0, 0, 1], [0, 1, 2], [0, 1, 2, 4],
+                                   [[0, 1], [2, 3]]],
+                         ids=["empty", "repeated", "repeated-short", "partial",
+                              "out-of-range", "2-d"])
+def test_shift_unitary_needs_every_point_once(order):
+    space = line_space([1] * 4)
+    with pytest.raises(DomainError, match="every sample point exactly once"):
+        shift_unitary(space, order)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsek import serialize
 from coarsek.coarse import CoarseMap, LipschitzHomotopy
 from coarsek.controlled import (
     HomotopyCertificate,
@@ -19,6 +20,7 @@ from coarsek.geometry import SampledSpace, build_complex, discretize
 from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
 from coarsek.serialize import (
+    _line,
     dumps_certificate,
     dumps_coarse_map,
     dumps_complex,
@@ -85,6 +87,16 @@ class TestSpaceFile:
     def test_hash_changes_with_content(self, space):
         other = discretize(build_complex([(0, 1), (1, 2)]), 0.5, fiber_dim=1)
         assert space_hash(space) != space_hash(other)
+
+    def test_built_space_keeps_its_hash(self):
+        dist, dims = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 2])
+        space = SampledSpace.from_distance_matrix(dist[:, :], dims)
+        digest = space_hash(space)
+        dist[0, 1] = dist[1, 0] = 2.0
+        dims[0] = 3
+        assert space.dist[0, 1] == 1.0 and space.internal_dims[0] == 1
+        assert isinstance(space.points, tuple)
+        assert space_hash(space) == digest == space_hash(loads_space(dumps_space(space)))
 
 
 class TestOperatorFile:
@@ -379,3 +391,79 @@ def test_merged_report_repeats_each_report_body():
     body_b = dumps_report(*b).splitlines()[1:]
     assert merged.splitlines() == ["coarsek-report v1", "sections: 2",
                                    "## a.txt", *body_a, "## b.txt", *body_b]
+
+
+def oracle_line(values, sep=" "):
+    """The writer before ``_line``: one ``str.format`` call per number."""
+    def fmt(x):
+        return "{:.17g}".format(float(x))
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return sep.join(f"{fmt(z.real)} {fmt(z.imag)}" for z in values.ravel())
+    return sep.join(fmt(x) for x in values.ravel())
+
+
+def cplx(re, im):
+    """A complex array from its parts, with no arithmetic on infinities."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e16, -1e16, 1e22, 0.1, 1 / 3, 1.7976931348623157e308]
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
+    | st.sampled_from(EDGE_VALUES)
+
+
+class TestLine:
+    @given(st.lists(any_float, max_size=12), st.sampled_from([" ", ","]))
+    @settings(max_examples=200, deadline=None)
+    def test_real_matches_oracle(self, values, sep):
+        assert _line(np.array(values, dtype=float), sep) == oracle_line(values, sep)
+        assert _line(values, sep) == oracle_line(values, sep)
+
+    @given(st.lists(st.tuples(any_float, any_float), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_complex_matches_oracle(self, pairs):
+        z = cplx([re for re, _ in pairs], [im for _, im in pairs])
+        assert _line(z) == oracle_line(z)
+
+    @given(st.lists(any_float, min_size=6, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_transposed_complex_matrix(self, values):
+        zt = cplx(np.reshape(values, (2, 3)), np.reshape(values[::-1], (2, 3))).T
+        assert not zt.flags.c_contiguous
+        assert _line(zt) == oracle_line(zt)
+        for row in zt:
+            assert _line(row) == oracle_line(row)
+
+    def test_edge_values(self):
+        assert _line(EDGE_VALUES) == oracle_line(EDGE_VALUES)
+        assert _line([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16]) == \
+            "-0 inf -inf nan 4.9406564584124654e-324 10000000000000000"
+        assert _line(cplx([-0.0, 1e16], [-0.0, 5e-324])) == \
+            "-0 -0 10000000000000000 4.9406564584124654e-324"
+        assert _line(0.25) == "0.25" and _line([]) == ""
+
+    def test_round_trip_through_the_reader(self):
+        z = cplx(EDGE_VALUES, EDGE_VALUES[::-1])
+        back = serialize._numbers(_line(z), complex, len(z))
+        assert np.array_equal(back.view(float), z.view(float), equal_nan=True)
+
+
+def test_certificate_round_trip_renders_its_space_once(monkeypatch):
+    space = discretize(build_complex([(0, 1)]), 0.5, fiber_dim=2)
+    n = space.total_dim
+    samples = [FiniteOperator(space, np.eye(n, dtype=complex) * (1 - 0.001 * k))
+               for k in range(9)]
+    cert = HomotopyCertificate("even", samples, QuasiParams(0.2, 0.5), [0.001] * 8)
+    calls = []
+    render = serialize.dumps_space
+    monkeypatch.setattr(serialize, "dumps_space",
+                        lambda s: calls.append(s) or render(s))
+    text = dumps_certificate(cert)
+    again = loads_certificate(text, space)
+    assert dumps_certificate(again) == text
+    assert len(calls) == 1
+    assert space_hash(space) == space_hash(loads_space(render(space)))
