@@ -9,6 +9,13 @@ has length pi/2 and the center of an edge sits at pi/4 from either vertex.
 Global distances are shortest paths in the graph whose edges join any two
 samples lying on a common simplex, weighted by the exact arc distance;
 samples in different connected components are at distance ``inf``.
+
+That graph metric is computed through portals, the samples on two or more
+maximal simplices.  Inside one maximal simplex the direct arc is the
+geodesic, so a shortest path changes simplex only at a portal: Dijkstra runs
+on the portal graph alone, and every other distance is a direct arc or a
+min-plus of arcs to and from portals (the separator idea of George, *Nested
+dissection of a regular finite element mesh*, SIAM J. Numer. Anal. 10, 1973).
 """
 
 from __future__ import annotations
@@ -142,8 +149,9 @@ class SampledSpace:
     internal_dims per-point fiber dimension of the module
     mesh          discretization parameter used (None for raw spaces)
 
-    A built space does not change: ``points`` is a tuple and the arrays are
-    read-only copies, so ``serialize.space_hash`` computes its digest once.
+    A built space does not change: ``points`` is a tuple, the arrays are
+    read-only copies and ``mesh`` is a read-only property, so
+    ``serialize.space_hash`` computes its digest once.
     """
 
     def __init__(self, points, dist, internal_dims, mesh=None):
@@ -154,7 +162,7 @@ class SampledSpace:
             raise MalformedInputError("distance matrix shape mismatch")
         if not (dist >= 0).all():  # false for NaN as for negative entries
             raise MalformedInputError("distances must be nonnegative or inf")
-        if not np.allclose(dist, dist.T, atol=1e-12):
+        if not np.allclose(dist, dist.T, rtol=0.0, atol=1e-12):
             raise MalformedInputError("distance matrix not symmetric")
         dims = np.array(internal_dims, dtype=int)
         if dims.shape != (n,) or (dims < 1).any():
@@ -163,11 +171,15 @@ class SampledSpace:
         self.dist.flags.writeable = False
         self.internal_dims = dims
         self.internal_dims.flags.writeable = False
-        self.mesh = mesh
+        self._mesh = mesh
         self.offsets = np.concatenate([[0], np.cumsum(dims)])
         self.total_dim = int(self.offsets[-1])
         # point id of each module coordinate
         self.point_of_coord = np.repeat(np.arange(n), dims)
+
+    @property
+    def mesh(self):
+        return self._mesh
 
     def __len__(self):
         return len(self.points)
@@ -231,7 +243,9 @@ def discretize(complex_, mesh, fiber_dim=1):
     Samples are the barycentric lattices of step 1/m on every simplex
     (deduplicated across shared faces) together with every simplex center;
     all vertices are lattice corners.  Distances are shortest paths over
-    exact per-simplex arcs.  All fibers get dimension ``fiber_dim``.
+    exact per-simplex arcs, computed through the portal samples (see the
+    module docstring); they equal the all-sample graph metric up to rounding.
+    All fibers get dimension ``fiber_dim``.
     """
     if mesh <= 0:
         raise DomainError("mesh must be positive")
@@ -256,24 +270,19 @@ def discretize(complex_, mesh, fiber_dim=1):
             add_point(face, vals)
         add_point(simplex, tuple(Fraction(1, k) for _ in simplex))
 
-    n = len(points)
-    w = np.full((n, n), np.inf)
-    np.fill_diagonal(w, 0.0)
-    by_simplex = {}
-    for i, p in enumerate(points):
-        for s in complex_.maximal_simplices():
-            if set(p.carrier) <= set(s):
-                by_simplex.setdefault(s, []).append(i)
-    for s, idxs in by_simplex.items():
+    members, arcs = [], []
+    for s in complex_.maximal_simplices():
+        sset = set(s)
+        idxs = np.array([i for i, p in enumerate(points) if set(p.carrier) <= sset])
         vecs = np.array([points[i].embed(s) for i in idxs])
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        gram = np.clip(vecs @ vecs.T, -1.0, 1.0)
-        arcs = np.arccos(gram)
-        sub = np.ix_(idxs, idxs)
-        w[sub] = np.minimum(w[sub], arcs)
+        arc = np.arccos(np.clip(vecs @ vecs.T, -1.0, 1.0))
+        np.fill_diagonal(arc, 0.0)
+        members.append(idxs)
+        arcs.append(arc)
 
-    dist = _graph_metric(w)
-    dims = np.full(n, fiber_dim, dtype=int)
+    dist = _portal_metric(len(points), members, arcs)
+    dims = np.full(len(points), fiber_dim, dtype=int)
     return SampledSpace(points, dist, dims, mesh=mesh)
 
 
@@ -285,6 +294,64 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def _portal_metric(n, members, arcs):
+    """Shortest-path metric of ``n`` samples from the maximal simplices'
+    sample ids ``members`` and their direct-arc matrices ``arcs``.
+
+    Two samples of one simplex are at their direct arc ``w(x, y)``: every
+    simplex sits isometrically in the unit sphere of R^vertices, whose angle
+    bounds each path from below.  Otherwise ``d(x, y)`` is the least
+    ``w(x, a) + D(a, b) + w(b, y)`` over the portals ``a`` of a simplex of
+    ``x`` and ``b`` of a simplex of ``y``, where ``D`` is the Dijkstra metric
+    of the portal graph.  One pair of simplices and one portal at a time, so
+    every temporary is a simplex's samples by the portals or by another
+    simplex's samples.
+    """
+    count = np.zeros(n, dtype=int)
+    for idxs in members:
+        count[idxs] += 1
+    portals = np.flatnonzero(count > 1)
+    slot = np.full(n, -1)
+    slot[portals] = np.arange(len(portals))
+    # per simplex: the positions of its portals among its samples, and their slots
+    gates = []
+    for idxs in members:
+        at = np.flatnonzero(count[idxs] > 1)
+        gates.append((at, slot[idxs[at]]))
+    links = np.full((len(portals), len(portals)), np.inf)
+    np.fill_diagonal(links, 0.0)
+    for a, (at, ids) in zip(arcs, gates):
+        sub = np.ix_(ids, ids)
+        links[sub] = np.minimum(links[sub], a[np.ix_(at, at)])
+    between = _graph_metric(links)
+
+    dist = np.full((n, n), np.inf)
+
+    def merge(rows, cols, block):  # both orientations, so dist stays exactly symmetric
+        for r, c, b in ((rows, cols, block), (cols, rows, block.T)):
+            sub = np.ix_(r, c)
+            dist[sub] = np.minimum(dist[sub], b)
+
+    for s, (rows, a_s, (at_s, ids_s)) in enumerate(zip(members, arcs, gates)):
+        merge(rows, rows, a_s)
+        if not len(at_s):
+            continue
+        # distance from each sample of s to every portal, leaving s at one of its own
+        leave = np.full((len(rows), len(portals)), np.inf)
+        tmp = np.empty_like(leave)
+        for k, q in zip(at_s, ids_s):
+            np.minimum(leave, np.add(a_s[:, k, None], between[q], out=tmp), out=leave)
+        for cols, a_t, (at_t, ids_t) in zip(members[s + 1:], arcs[s + 1:], gates[s + 1:]):
+            if not len(at_t):
+                continue
+            block = np.full((len(rows), len(cols)), np.inf)
+            tmp = np.empty_like(block)
+            for k, q in zip(at_t, ids_t):
+                np.minimum(block, np.add(leave[:, q, None], a_t[k], out=tmp), out=block)
+            merge(rows, cols, block)
+    return dist
 
 
 def _graph_metric(weights):

@@ -38,6 +38,8 @@ class FiniteOperator:
             raise ShapeError(
                 f"entries shape {entries.shape} != ({n}, {n}) for amplification "
                 f"{amplification} over a module of dimension {space.total_dim}")
+        if not np.isfinite(entries).all():
+            raise DomainError("operator with non-finite entries")
         self.entries = entries
         self.entries.flags.writeable = False
         if scalar is not None:
@@ -46,6 +48,8 @@ class FiniteOperator:
                 scalar = np.full(self.amplification, scalar[0])
             if scalar.shape != (self.amplification,):
                 raise ShapeError("scalar vector length must equal amplification")
+            if not np.isfinite(scalar).all():
+                raise DomainError("operator with a non-finite scalar part")
             scalar.flags.writeable = False
         self.scalar = scalar
 

@@ -108,8 +108,9 @@ class TestBasicCommands:
         np.fill_diagonal(d, 0.0)
         space = SampledSpace.from_distance_matrix(d)
         sf = write(tmp_path / "space.txt", dumps_space(space))
-        nan = FiniteOperator(space, np.full((3, 3), np.nan, dtype=complex))
-        nf = write(tmp_path / "nan.txt", dumps_operator(nan))
+        # the library refuses to build such an operator, so write its file by hand
+        zero = dumps_operator(FiniteOperator.zeros(space))
+        nf = write(tmp_path / "nan.txt", zero.replace("0 0 0 0 0 0", " ".join(["nan"] * 6)))
         assert main([command, sf, nf, "--out", outdir]) == 3
         assert capsys.readouterr().err.startswith("FAIL:")
 
@@ -304,26 +305,37 @@ class TestStrictInputs:
             assert code == 2, f"{kind} cut after {k} lines exited {code}"
             assert capsys.readouterr().err.startswith("FAIL: line ")
 
+    @staticmethod
+    def _edited_distances(tmp_path, edits):
+        """A 5-sample edge space file with the ``(i, j) -> token`` distance
+        edits, and an operator file naming that edited text by its hash, so
+        only the distances can be at fault."""
+        space = discretize(build_complex([(0, 1)]), 0.5)
+        rows = dumps_space(space).splitlines()
+        at = rows.index("dist:") + 1
+        for (i, j), token in edits.items():
+            row = rows[at + i].split()
+            row[j] = token
+            rows[at + i] = " ".join(row)
+        text = "\n".join(rows) + "\n"
+        op = dumps_operator(FiniteOperator(space, np.ones((5, 5), dtype=complex)))
+        return (write(tmp_path / "space.txt", text),
+                write(tmp_path / "op.txt", op.replace(
+                    space_hash(space), hashlib.sha256(text.encode()).hexdigest()[:16])))
+
     @pytest.mark.parametrize("command", ["op-prop", "quasi-check"])
     @pytest.mark.parametrize("bad", ["nan", "-5"])
     def test_nan_or_negative_distance_exits_2(self, tmp_path, outdir, capsys,
                                               command, bad):
-        space = discretize(build_complex([(0, 1)]), 0.5)
-        rows = dumps_space(space).splitlines()
-        at = rows.index("dist:") + 1
-        for i, j in ((0, 2), (2, 0)):
-            row = rows[at + i].split()
-            row[j] = bad
-            rows[at + i] = " ".join(row)
-        text = "\n".join(rows) + "\n"
-        sf = write(tmp_path / "space.txt", text)
-        # the operator names the edited space by its hash, so only the
-        # distances can be at fault
-        op = dumps_operator(FiniteOperator(space, np.ones((5, 5), dtype=complex)))
-        opf = write(tmp_path / "op.txt", op.replace(
-            space_hash(space), hashlib.sha256(text.encode()).hexdigest()[:16]))
+        sf, opf = self._edited_distances(tmp_path, {(0, 2): bad, (2, 0): bad})
         assert main([command, sf, opf, "--epsilon", "0.1", "--r", "5",
                      "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: ")
+
+    def test_asymmetric_distance_exits_2(self, tmp_path, outdir, capsys):
+        # d(1, 0) stays pi/2 and d(0, 1) is 5e-6 larger, relatively
+        sf, opf = self._edited_distances(tmp_path, {(0, 1): repr(np.pi / 2 * (1 + 5e-6))})
+        assert main(["op-prop", sf, opf, "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: ")
 
     def test_empty_times_in_path(self, tmp_path, outdir, capsys):

@@ -1,8 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from coarsek import geometry
 from coarsek.errors import (
     DomainError,
     MalformedInputError,
@@ -23,6 +29,7 @@ from coarsek.geometry import (
     retract_onto_pieces,
     simplex_center,
 )
+from coarsek.serialize import dumps_space, loads_space, space_hash
 
 
 def edge_angle(coords):
@@ -322,3 +329,93 @@ def test_nan_and_negative_distances_rejected(bad):
 def test_infinite_distances_kept():
     d = np.array([[0.0, np.inf], [np.inf, 0.0]])
     assert SampledSpace.from_distance_matrix(d).dist[0, 1] == np.inf
+
+
+def test_mesh_is_read_only_and_hashed_as_dumped():
+    s = discretize(build_complex([(0, 1)]), 0.5)
+    digest = space_hash(s)
+    with pytest.raises(AttributeError):
+        s.mesh = 0.25
+    assert s.mesh == 0.5
+    assert space_hash(s) == digest == space_hash(loads_space(dumps_space(s)))
+
+
+def test_asymmetry_is_judged_absolutely():
+    # numpy's default rtol=1e-5 would let this 5e-6 gap through
+    with pytest.raises(MalformedInputError, match="not symmetric"):
+        SampledSpace.from_distance_matrix([[0.0, 1.0], [1.000005, 0.0]])
+    SampledSpace.from_distance_matrix([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+
+
+# -- the portal metric against the all-sample graph metric -------------------
+
+
+def all_sample_metric(space, complex_):
+    """Oracle: Dijkstra over the graph joining every two samples on a common
+    maximal simplex, weighted by their arc (the metric before portals)."""
+    points, n = space.points, len(space)
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for s in complex_.maximal_simplices():
+        idxs = [i for i, p in enumerate(points) if set(p.carrier) <= set(s)]
+        vecs = np.array([points[i].embed(s) for i in idxs])
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        arcs = np.arccos(np.clip(vecs @ vecs.T, -1.0, 1.0))
+        sub = np.ix_(idxs, idxs)
+        w[sub] = np.minimum(w[sub], arcs)
+    ii, jj = np.nonzero(np.isfinite(w) & (w > 0))
+    graph = coo_matrix((w[ii, jj], (ii, jj)), shape=(n, n))
+    d = shortest_path(graph.tocsr(), method="D", directed=False)
+    np.fill_diagonal(d, 0.0)
+    return np.minimum(d, d.T)
+
+
+def assert_matches_oracle(complex_, mesh):
+    space = discretize(complex_, mesh)
+    d, want = space.dist, all_sample_metric(space, complex_)
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(d), finite)
+    assert np.array_equal(d, d.T)
+    assert not np.diag(d).any()
+    # largest difference seen: 3.2e-13 on the 318-point circle
+    assert np.abs(d[finite] - want[finite]).max(initial=0.0) <= 1e-11
+
+
+TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("maximal, mesh", [
+    ([(0, 1), (1, 2), (0, 2)], 0.019),        # the circle, N=318
+    (TETRA, 0.15),                             # the 2-sphere
+    ([(0, 1, 2, 3)], 0.4),                     # a solid 3-simplex: no portals
+    ([(0, 1, 2), (2, 3), (9,)], 0.3),          # dangling edge, isolated vertex
+    ([(0, 1, 2), (2, 3, 4)], 0.3),             # two triangles on one vertex
+    ([(0, 1), (2, 3, 4), (5, 6)], 0.4),        # three components
+    ([(0,), (1,), (2,)], 1.0),                 # dimension 0
+])
+def test_portal_metric_matches_graph_metric(maximal, mesh):
+    assert_matches_oracle(build_complex(maximal), mesh)
+
+
+# every triangle and edge on 6 vertices
+FACES = list(itertools.combinations(range(6), 3)) + list(itertools.combinations(range(6), 2))
+
+
+@given(st.lists(st.sampled_from(FACES), min_size=1, max_size=8, unique=True),
+       st.sampled_from([0.6, 0.9, 1.5]))
+@settings(max_examples=40, deadline=None)
+def test_portal_metric_matches_graph_metric_on_random_complexes(maximal, mesh):
+    assert_matches_oracle(build_complex(maximal), mesh)
+
+
+def test_dijkstra_sees_only_portals(monkeypatch):
+    seen = []
+    search = geometry.shortest_path
+    monkeypatch.setattr(geometry, "shortest_path",
+                        lambda graph, **kw: seen.append(graph.shape[0]) or search(graph, **kw))
+    x = build_complex(TETRA)
+    s = discretize(x, 0.12)
+    maximal = [set(t) for t in x.maximal_simplices()]
+    portals = sum(sum(set(p.carrier) <= t for t in maximal) > 1 for p in s.points)
+    assert (len(s), portals) == (890, 130)
+    assert seen and max(seen) <= portals

@@ -118,6 +118,21 @@ class TestPropagation:
                 <= propagation(t) + propagation(s) + 1e-9)
 
 
+class TestNonFinite:
+    # a NaN block would be invisible to support and propagation (NaN > tau is false)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_entries_rejected(self, line3, bad):
+        m = np.eye(3, dtype=complex)
+        m[0, 2] = bad
+        with pytest.raises(DomainError, match="non-finite entries"):
+            FiniteOperator(line3, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, [1.0, np.nan]])
+    def test_scalar_rejected(self, line3, bad):
+        with pytest.raises(DomainError, match="non-finite scalar"):
+            FiniteOperator(line3, np.zeros((6, 6)), 2, scalar=bad)
+
+
 class TestAlgebra:
     def test_opnorm_identity(self, line3):
         assert opnorm(FiniteOperator.identity(line3, unitized=False)) == \
