@@ -162,8 +162,9 @@ class SampledSpace:
             raise MalformedInputError("distance matrix shape mismatch")
         if not (dist >= 0).all():  # false for NaN as for negative entries
             raise MalformedInputError("distances must be nonnegative or inf")
-        if not np.allclose(dist, dist.T, rtol=0.0, atol=1e-12):
-            raise MalformedInputError("distance matrix not symmetric")
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, and equal inf pairs pass
+            if (np.abs(dist - dist.T) > 1e-12).any():
+                raise MalformedInputError("distance matrix not symmetric")
         dims = np.array(internal_dims, dtype=int)
         if dims.shape != (n,) or (dims < 1).any():
             raise MalformedInputError("internal_dims must be positive per point")

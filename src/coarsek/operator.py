@@ -33,7 +33,7 @@ class FiniteOperator:
         self.space = space
         self.amplification = int(amplification)
         n = self.amplification * space.total_dim
-        entries = np.asarray(entries, dtype=complex)
+        entries = np.array(entries, dtype=complex)  # a copy: the caller's array may change
         if entries.shape != (n, n):
             raise ShapeError(
                 f"entries shape {entries.shape} != ({n}, {n}) for amplification "

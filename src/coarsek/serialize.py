@@ -19,6 +19,7 @@ import hashlib
 import os
 import tempfile
 import weakref
+from itertools import chain
 
 import numpy as np
 
@@ -114,13 +115,31 @@ def _numbers(text, dtype=float, count=None):
     return values.view(complex) if width == 2 else values
 
 
-def _line(values, sep=" "):
-    """Numbers as ``%.17g`` tokens (``re im`` per complex), as ``_numbers`` reads them."""
+def _tokens(values):
+    """The ``%.17g`` tokens of a real or complex array (``re im`` per complex
+    number) as an object array with one row per leading index; a 0-d or 1-d
+    array is one row.  Each distinct float is formatted once: values are told
+    apart by their bits, so ``0.0`` and ``-0.0`` stay ``0`` and ``-0``."""
     values = np.asarray(values)
+    rows = len(values) if values.ndim > 1 else 1
     if np.iscomplexobj(values):
-        values = np.stack([values.real, values.imag], axis=-1)
-    flat = values.astype(float).ravel().tolist()
-    return sep.join(["%.17g"] * len(flat)) % tuple(flat)
+        values = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
+    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = "\n".join(["%.17g"] * len(keys)) % tuple(keys.view(float).tolist())
+    # numpy 1.x returns the inverse flat and 2.x shaped like its input
+    tokens = np.array(text.split("\n"), dtype=object)[inverse.reshape(-1)]
+    return tokens.reshape(rows, -1 if rows else 0)
+
+
+def _line(values, sep=" "):
+    """Numbers as tokens (``re im`` per complex), as ``_numbers`` reads them."""
+    return sep.join(_tokens(values).ravel().tolist())
+
+
+def _rows(matrix):
+    """One line per matrix row, every number of the matrix formatted together."""
+    return [" ".join(row) for row in _tokens(matrix).tolist()]
 
 
 def _records(label, records, dump):
@@ -158,13 +177,18 @@ def loads_complex(text):
 
 
 def dumps_space(space):
+    # one writer call for every coordinate; the carriers are ragged
+    coords = _tokens(list(chain.from_iterable(p.coords for p in space.points)))[0].tolist()
     out = ["coarsek-space v1",
            f"mesh: {'none' if space.mesh is None else _line(space.mesh)}",
            f"points: {len(space)}"]
+    at = 0
     for i, p in enumerate(space.points):
         carrier = ",".join(str(v) for v in p.carrier)
-        out.append(f"{i} {carrier} {_line(p.coords, ',')} {space.internal_dims[i]}")
-    out += ["dist:", *map(_line, space.dist)]
+        coord = ",".join(coords[at:at + len(p.coords)])
+        at += len(p.coords)
+        out.append(f"{i} {carrier} {coord} {space.internal_dims[i]}")
+    out += ["dist:", *_rows(space.dist)]
     return "\n".join(out) + "\n"
 
 
@@ -218,7 +242,7 @@ def dumps_operator(op):
            f"scalar: {scalar}",
            f"dim: {op.dim}",
            "entries:"]
-    out.extend(map(_line, op.entries))
+    out.extend(_rows(op.entries))
     return "\n".join(out) + "\n"
 
 

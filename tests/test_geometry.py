@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,26 @@ def test_asymmetry_is_judged_absolutely():
     with pytest.raises(MalformedInputError, match="not symmetric"):
         SampledSpace.from_distance_matrix([[0.0, 1.0], [1.000005, 0.0]])
     SampledSpace.from_distance_matrix([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+
+
+def test_asymmetry_bound_is_inclusive():
+    SampledSpace.from_distance_matrix([[0.0, 0.0], [1e-12, 0.0]])
+    above = np.nextafter(1e-12, 1.0)
+    with pytest.raises(MalformedInputError, match="not symmetric"):
+        SampledSpace.from_distance_matrix([[0.0, 0.0], [above, 0.0]])
+
+
+def test_infinite_asymmetry_rejected():
+    with pytest.raises(MalformedInputError, match="not symmetric"):
+        SampledSpace.from_distance_matrix([[0.0, np.inf], [1.0, 0.0]])
+
+
+def test_symmetric_infinite_pairs_pass_without_warning():
+    d = np.full((3, 3), np.inf)
+    np.fill_diagonal(d, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(SampledSpace.from_distance_matrix(d).dist[0, 2])
 
 
 # -- the portal metric against the all-sample graph metric -------------------

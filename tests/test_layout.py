@@ -1,6 +1,7 @@
 """Source guards: the copy-major layout is spelled out only in ``operator``
-(and ``geometry``, which defines ``point_of_coord``), no module keeps an
-import it no longer uses, and no private top-level name is left unread."""
+(and ``geometry``, which defines ``point_of_coord``), every float is
+formatted by the one number writer, no module keeps an import it no longer
+uses, and no private top-level name is left unread."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,19 @@ def names_read(trees):
     return read
 
 
+def number_formats(tree):
+    """(line, top-level name) of each string outside a docstring that holds a
+    17-digit float format, ``%.17g`` or a ``{:.17g}`` spec."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return sorted((sub.lineno, getattr(node, "name", None))
+                  for node in tree.body for sub in ast.walk(node)
+                  if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and ".17g" in sub.value and id(sub) not in docstrings)
+
+
 def test_modules_found():
     assert {"operator.py", "generators.py", "mv.py"} <= {p.name for p in MODULES}
 
@@ -77,6 +91,13 @@ def test_layout_lifts_only_in_operator(path):
     assert numpy_calls(tree_of(path), {"repeat", "tile"}) == [], (
         f"{path.name} spells out the copy-major layout; use operator.lift, "
         "FiniteOperator.from_concrete or coordinates_of")
+
+
+def test_floats_formatted_only_by_the_writer():
+    found = [(path.name, name) for path in MODULES
+             for _, name in number_formats(tree_of(path))]
+    assert found == [("serialize.py", "_tokens")], (
+        "format numbers through serialize._line or serialize._rows")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -104,3 +125,7 @@ def test_guards_catch_what_they_name():
                                          (13, "_Cursor")]
     assert {"_F", "_fmt", "_Cursor"} <= names_read([tree])
     assert "_fmt_complex" not in names_read([tree])
+    tree = ast.parse('"""Writes ``%.17g``."""\n\n\ndef _tokens(v):\n    """As %.17g."""\n'
+                     '    return "%.17g" % v\n\n\ndef dumps(x):\n'
+                     '    return f"{x:.17g}," + "%.17g" % x\n')
+    assert number_formats(tree) == [(6, "_tokens"), (10, "dumps"), (10, "dumps")]

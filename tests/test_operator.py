@@ -133,6 +133,13 @@ class TestNonFinite:
             FiniteOperator(line3, np.zeros((6, 6)), 2, scalar=bad)
 
 
+def test_entries_copied_not_frozen(line3):
+    m = np.eye(3, dtype=complex)
+    op = FiniteOperator(line3, m)
+    m[0, 0] = 2  # the caller's array stays writable
+    assert op.entries[0, 0] == 1 and not op.entries.flags.writeable
+
+
 class TestAlgebra:
     def test_opnorm_identity(self, line3):
         assert opnorm(FiniteOperator.identity(line3, unitized=False)) == \

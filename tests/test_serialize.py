@@ -21,6 +21,8 @@ from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
 from coarsek.serialize import (
     _line,
+    _rows,
+    _tokens,
     dumps_certificate,
     dumps_coarse_map,
     dumps_complex,
@@ -450,6 +452,59 @@ class TestLine:
         z = cplx(EDGE_VALUES, EDGE_VALUES[::-1])
         back = serialize._numbers(_line(z), complex, len(z))
         assert np.array_equal(back.view(float), z.view(float), equal_nan=True)
+
+
+# a second NaN payload and a negative NaN, which the writer keeps apart by their bits
+NANS = [np.nan, *np.array([0x7FF8000000000123, -0x0008000000000000], np.int64).view(float)]
+REPEATED = [0.0, -0.0, *NANS, np.inf, -np.inf, 5e-324, -2.5e-310, 0.1]
+
+
+@st.composite
+def repetitive_matrices(draw):
+    """A real matrix whose entries come from a pool of at most four values."""
+    pool = draw(st.lists(any_float | st.sampled_from(REPEATED), min_size=1, max_size=4))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))),
+                          min_size=rows * cols, max_size=rows * cols))
+    return np.array([pool[k] for k in picks], dtype=float).reshape(rows, cols)
+
+
+class TestTokens:
+    """The distinct-value writer against ``'%.17g' % x`` on one value at a time."""
+
+    @given(repetitive_matrices(), repetitive_matrices(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, re, im, complex_, transpose):
+        m = cplx(re, np.resize(im, re.shape)) if complex_ else re
+        m = m.T if transpose else m
+        assert _tokens(m).tolist() == [oracle_line(row).split() for row in m]
+        assert _rows(m) == [oracle_line(row) for row in m]
+        assert _line(m) == oracle_line(m)
+        if not complex_:  # the oracle keeps a space inside each ``re im`` pair
+            assert _line(m, ",") == oracle_line(m, ",")
+
+    def test_signed_zeros_and_nan_payloads_in_one_matrix(self):
+        m = np.array([[0.0, -0.0, NANS[1]], [-0.0, NANS[0], 0.0]])
+        assert _rows(m) == ["0 -0 nan", "-0 nan 0"]
+        assert _rows(cplx(m, -m)) == ["0 -0 -0 0 nan nan", "-0 0 nan nan 0 -0"]
+        assert _rows(np.array([[np.inf, -np.inf, 5e-324]])) == \
+            ["inf -inf 4.9406564584124654e-324"]
+
+    def test_complex_with_negative_zero_imaginary_part(self):
+        z = cplx([1.0, 1.0, -0.0], [-0.0, 0.0, -0.0])
+        assert _line(z) == "1 -0 1 0 -0 -0" == oracle_line(z)
+
+    def test_transposed_input(self):
+        m = np.arange(6.0).reshape(2, 3)
+        assert not m.T.flags.c_contiguous
+        assert _rows(m.T) == ["0 3", "1 4", "2 5"]
+
+    def test_shapes(self):
+        assert _tokens(np.empty(0)).tolist() == [[]] and _line([]) == ""
+        assert _tokens(np.empty((0, 3))).tolist() == [] and _rows(np.empty((2, 0))) == ["", ""]
+        assert _tokens(2.5).tolist() == [["2.5"]] and _line(np.float64(-0.0)) == "-0"
+        assert _line(complex(0.5, -1.0)) == "0.5 -1"
+        assert _rows([[complex(1, -0.0)]]) == ["1 -0"] and _rows([[7.0]]) == ["7"]
 
 
 def test_certificate_round_trip_renders_its_space_once(monkeypatch):
