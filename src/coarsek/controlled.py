@@ -35,9 +35,10 @@ from .operator import (
     coordinates_of,
     direct_sum,
     herm_defect,
-    nearly_hermitian,
+    hermitian_gap,
     opnorm,
     propagation,
+    spectrum,
 )
 
 HERM_TOL = 1e-12
@@ -60,28 +61,34 @@ class QuasiParams:
         return QuasiParams(self.eps * eps_factor, self.r * r_factor)
 
 
-def projection_defect(op):
-    """||p^2 - p|| of the concrete matrix."""
+def projection_defect(op, herm=None):
+    """||p^2 - p||: max |lambda^2 - lambda| over the block eigenvalues of a
+    nearly Hermitian p (``herm``: ``hermitian_gap``'s verdict, if known)."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    if nearly_hermitian(m):
-        lam = np.linalg.eigvalsh(m)
+    if herm is None:
+        herm = hermitian_gap(m)[1]
+    if herm:
+        lam, _ = spectrum(m, True)
         return float(np.abs(lam * lam - lam).max(initial=0.0))
     return opnorm(m @ m - m)
 
 
 def unitary_defects(op):
-    """(||u*u - 1||, ||uu* - 1||) of the concrete matrix."""
+    """(||u*u - 1||, ||uu* - 1||), both max |sigma^2 - 1| for a square u (polar
+    decomposition); a singular value the split leaves out is 0, so then >= 1."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    eye = np.eye(m.shape[0])
-    return opnorm(m.conj().T @ m - eye), opnorm(m @ m.conj().T - eye)
+    sq, found = spectrum(m, False)
+    d = max(float(np.abs(sq - 1.0).max(initial=0.0)), 1.0 if found < len(m) else 0.0)
+    return d, d
 
 
 def measure(x, parity, tau=DEFAULT_TAU):
     """Witness norms of one element: the self-adjointness and projection
     defects (even) or the two unitary defects (odd), then propagation."""
     if parity == "even":
-        wit = {"herm_defect": herm_defect(x),
-               "projection_defect": projection_defect(x)}
+        gap, herm = hermitian_gap(x.concrete())
+        wit = {"herm_defect": herm_defect(x, gap),
+               "projection_defect": projection_defect(x, herm)}
     elif parity == "odd":
         wit = dict(zip(("left_defect", "right_defect"), unitary_defects(x)))
     else:
@@ -328,7 +335,7 @@ def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TA
     Valid when 5 ||p - p'|| + max of the measured defects stays below the
     ambient eps (checked first) and the certificate rule accepts it.
     """
-    delta = opnorm(p - p_prime)
+    delta = step_norms([p, p_prime])[0]  # the verifier's number, bit for bit
     measured = measure_samples([p, p_prime], parity, tau)
     worst = max(map(witness_defect, measured))
     if 5 * delta + worst >= ambient.eps:

@@ -11,7 +11,9 @@ Only this module spells the layout out: ``coordinates_of`` (the coordinates
 of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
 blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
-part) and ``direct_sum`` (copies side by side).
+part) and ``direct_sum`` (copies side by side).  Every norm and defect is
+read off one spectral kernel, ``spectrum``, after one Hermitian test,
+``hermitian_gap``.
 """
 
 from __future__ import annotations
@@ -162,64 +164,57 @@ def coordinates_of(space, amplification, points, dims=None):
     return (copies + one_copy).ravel()
 
 
-def nearly_hermitian(m):
-    return np.linalg.norm(m - m.conj().T) <= 1e-13 * max(1.0, np.linalg.norm(m))
+def hermitian_gap(m):
+    """The one Hermitian test: (||m - m*||_F, is it <= 1e-13 max(1, ||m||_F))."""
+    gap = float(np.linalg.norm(m - m.conj().T))
+    return gap, gap <= 1e-13 * max(1.0, float(np.linalg.norm(m)))
 
 
-def opnorm(op):
-    """Operator (spectral) norm; accepts a FiniteOperator or a matrix.
-
-    The norm is the largest norm of the independent blocks of the nonzero
-    pattern.  Zero rows and columns contribute nothing, and permuting rows
-    and columns by the connected components of the pattern makes the rest
-    block-diagonal, so ``||A|| = max_k ||A[R_k, C_k]||`` exactly.  A matrix
-    whose nonzero part is fully populated is one block.
-
-    Hermitian rule: whether ``A`` is nearly Hermitian is decided once, for
-    the whole matrix.  If it is, the components come from the symmetric
-    pattern and each principal block is solved with ``eigvalsh`` (which
-    reads its lower triangle, as for the whole matrix); otherwise they come
-    from the bipartite row/column graph and each block is solved through
-    its Gram matrix on the smaller side.  Non-finite entries raise
-    DomainError.
-    """
-    m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
+def spectrum(m, herm):
+    """``(values, found)``: the eigenvalues (``herm``) or squared singular
+    values of the blocks of the nonzero pattern of ``m``, and their count.
+    The pattern's connected components (symmetric when ``herm``, else of the
+    bipartite row/column graph) make ``m`` block-diagonal; a block gives the
+    ``eigvalsh`` of itself (its lower triangle) or of its Gram matrix on its
+    smaller side, a 1x1 block its real part or squared modulus.  The values
+    left out (zero rows and columns, the missing side of a non-square block)
+    are zeros.  Non-finite entries raise DomainError."""
     if not np.isfinite(m).all():
-        raise DomainError("operator norm of a matrix with non-finite entries")
-    herm = m.shape[0] == m.shape[1] and nearly_hermitian(m)
+        raise DomainError("spectrum of a matrix with non-finite entries")
     nz = m != 0
     if herm:
         nz = nz | nz.T
-        rows = cols = np.flatnonzero(nz.any(axis=0))
-    else:
-        rows = np.flatnonzero(nz.any(axis=1))
-        cols = np.flatnonzero(nz.any(axis=0))
-    nnz = np.count_nonzero(nz)
-    if nnz == 0:
-        return 0.0
-    if nnz == rows.size * cols.size:
-        return _stack_norm(m[np.ix_(rows, cols)], herm)
-    row_lab, col_lab = _pattern_components(nz[np.ix_(rows, cols)], herm)
-    nr = np.bincount(row_lab)
-    nc = np.bincount(col_lab)
+    rows = np.flatnonzero(nz.any(axis=1))
+    cols = np.flatnonzero(nz.any(axis=0))
+    row_lab, col_lab = _pattern_components(nz, rows, cols, herm)
+    nr, nc = np.bincount(row_lab), np.bincount(col_lab)
     row_order = rows[np.argsort(row_lab, kind="stable")]
     col_order = cols[np.argsort(col_lab, kind="stable")]
-    row_start = np.cumsum(nr) - nr
-    col_start = np.cumsum(nc) - nc
-    best = 0.0
+    row_start, col_start = np.cumsum(nr) - nr, np.cumsum(nc) - nc
+    values = [np.zeros(0)]
     for p, q in set(zip(nr.tolist(), nc.tolist())):
         comps = np.flatnonzero((nr == p) & (nc == q))
         ri = row_order[row_start[comps, None] + np.arange(p)]
         ci = col_order[col_start[comps, None] + np.arange(q)]
-        best = max(best, _stack_norm(m[ri[:, :, None], ci[:, None, :]], herm))
-    return best
+        b = m[ri[:, :, None], ci[:, None, :]]
+        if p == q == 1:
+            values.append((b.real if herm else np.abs(b) ** 2).ravel())
+            continue
+        if not herm:
+            adj = np.swapaxes(b.conj(), -1, -2)
+            b = adj @ b if q <= p else b @ adj
+        values.append(np.linalg.eigvalsh(b).ravel())
+    values = np.concatenate(values)
+    return values, values.size
 
 
-def _pattern_components(pattern, herm):
-    """Component labels of the rows and columns of a boolean pattern: of the
-    symmetric graph when ``herm``, else of the bipartite row/column graph."""
-    n_rows, n_cols = pattern.shape
-    i, j = np.nonzero(pattern)
+def _pattern_components(nz, rows, cols, herm):
+    """Component labels of the listed rows and columns of a boolean pattern:
+    of the symmetric graph when ``herm``, else of the bipartite graph."""
+    n_rows, n_cols = rows.size, cols.size
+    if np.count_nonzero(nz) == n_rows * n_cols:  # one full block (or none), in order
+        return np.zeros(n_rows, int), np.zeros(n_cols, int)
+    i, j = np.nonzero(nz[np.ix_(rows, cols)])
     nodes = n_rows if herm else n_rows + n_cols
     indptr = np.full(nodes + 1, i.size)
     indptr[0] = 0
@@ -230,27 +225,25 @@ def _pattern_components(pattern, herm):
     return (labels, labels) if herm else (labels[:n_rows], labels[n_rows:])
 
 
-def _stack_norm(blocks, herm):
-    """Largest spectral norm over one matrix or a stack of equal-shape ones."""
-    if blocks.shape[-2:] == (1, 1):
-        return float(np.abs(blocks.real if herm else blocks).max())
-    if herm:
-        return float(np.abs(np.linalg.eigvalsh(blocks)).max())
-    adj = np.swapaxes(blocks.conj(), -1, -2)
-    gram = adj @ blocks if blocks.shape[-1] <= blocks.shape[-2] else blocks @ adj
-    top = np.linalg.eigvalsh(gram)[..., -1].max()
-    return float(np.sqrt(max(top, 0.0)))
-
-
-def herm_defect(op):
-    """Distance to the self-adjoint operators, ||T - T*||."""
+def opnorm(op):
+    """Operator (spectral) norm of a FiniteOperator or a matrix, read off
+    ``spectrum``: the largest |eigenvalue| if it is square and nearly Hermitian
+    (decided once, for the whole matrix), else the largest singular value."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    diff = m - m.conj().T
+    herm = m.shape[0] == m.shape[1] and hermitian_gap(m)[1]
+    values, _ = spectrum(m, herm)
+    if herm:
+        return float(np.abs(values).max(initial=0.0))
+    return float(np.sqrt(max(values.max(initial=0.0), 0.0)))
+
+
+def herm_defect(op, gap=None):
+    """Distance to the self-adjoint operators, ||T - T*||; ``gap`` is
+    ``hermitian_gap``'s norm when the caller has it."""
+    m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
+    gap = hermitian_gap(m)[0] if gap is None else gap
     # Frobenius upper bound suffices for all-but-borderline checks
-    frob = float(np.linalg.norm(diff))
-    if frob <= 1e-13:
-        return frob
-    return opnorm(diff)
+    return gap if gap <= 1e-13 else opnorm(m - m.conj().T)
 
 
 def block_abs_max(op):

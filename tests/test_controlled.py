@@ -32,6 +32,7 @@ from coarsek.controlled import (
     scalar_rank,
     spectral_band_radius,
     stabilize,
+    step_norms,
     unitary_defects,
     verify_certificate,
 )
@@ -49,7 +50,7 @@ from coarsek.generators import (
     shift_unitary,
     trial_rngs,
 )
-from coarsek.geometry import SampledSpace, uniform_edge_space
+from coarsek.geometry import SampledSpace, build_complex, discretize, uniform_edge_space
 from coarsek.operator import (
     FiniteOperator,
     coordinates_of,
@@ -281,6 +282,18 @@ class TestCertificates:
         cert = interpolation_certificate(p, p, QuasiParams(0.1, 1.0))
         ok, _ = verify_certificate(cert)
         assert ok
+
+    @pytest.mark.parametrize("seed", [20240817, 1, 2])
+    def test_recorded_step_is_the_verifiers_number(self, seed):
+        # the cli-batch certificate input: at seed 20240817 ||p - p'|| and
+        # ||p' - p|| differ in the last bits
+        rng = np.random.default_rng(seed)
+        thin = discretize(build_complex([(0, 1)]), 0.08)
+        p, _ = random_quasi_projection(thin, QuasiParams(0.1, 0.3), rng)
+        nudge = random_banded(thin, 0.3, rng, selfadjoint=True, norm=0.005)
+        cert = interpolation_certificate(
+            p, FiniteOperator(thin, p.entries + nudge.entries), QuasiParams(0.2, 0.5))
+        assert cert.step_bounds == step_norms(cert.samples)
 
     def test_margin_arithmetic_accepts(self, pt2):
         # defect 0.1 at the endpoint, gap 0.01: 5 * 0.01 + 0.1 = 0.15 < 0.16

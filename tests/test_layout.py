@@ -1,7 +1,9 @@
 """Source guards: the copy-major layout is spelled out only in ``operator``
 (and ``geometry``, which defines ``point_of_coord``), every float is
-formatted by the one number writer, no module keeps an import it no longer
-uses, and no private top-level name is left unread."""
+formatted by the one number writer, whether a matrix is Hermitian is decided
+only in ``operator`` and ``controlled`` solves no eigenproblem beside its
+spectral projections, no module keeps an import it no longer uses, and no
+private top-level name is left unread."""
 
 import ast
 from pathlib import Path
@@ -81,6 +83,41 @@ def number_formats(tree):
                   and ".17g" in sub.value and id(sub) not in docstrings)
 
 
+def top_level_hits(tree, hit):
+    """(line, top-level name) of each node below a top-level statement for
+    which ``hit(node)`` holds."""
+    return sorted((sub.lineno, getattr(node, "name", None))
+                  for node in tree.body for sub in ast.walk(node) if hit(sub))
+
+
+def hermitian_tests(tree):
+    """Hits of ``x - x.conj().T`` (the difference a Hermitian test measures)
+    and of calls to ``nearly_hermitian``."""
+    def hit(node):
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", getattr(node.func, "attr", None)) \
+                == "nearly_hermitian"
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            return False
+        right = node.right
+        return (isinstance(right, ast.Attribute) and right.attr == "T"
+                and isinstance(right.value, ast.Call)
+                and isinstance(right.value.func, ast.Attribute)
+                and right.value.func.attr == "conj"
+                and ast.dump(right.value.func.value) == ast.dump(node.left))
+    return top_level_hits(tree, hit)
+
+
+def eigen_solves(tree):
+    """Hits of ``np.linalg.eigvalsh(...)`` and ``np.linalg.eigh(...)``."""
+    def hit(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"eigvalsh", "eigh"}
+                and ast.dump(node.func.value) == ast.dump(
+                    ast.parse("np.linalg", mode="eval").body))
+    return top_level_hits(tree, hit)
+
+
 def test_modules_found():
     assert {"operator.py", "generators.py", "mv.py"} <= {p.name for p in MODULES}
 
@@ -98,6 +135,20 @@ def test_floats_formatted_only_by_the_writer():
              for _, name in number_formats(tree_of(path))]
     assert found == [("serialize.py", "_tokens")], (
         "format numbers through serialize._line or serialize._rows")
+
+
+def test_hermitian_test_only_in_operator():
+    found = [(path.name, name) for path in MODULES if path.name != "operator.py"
+             for _, name in hermitian_tests(tree_of(path))]
+    # the one other difference builds a skew-Hermitian generator; it tests nothing
+    assert found == [("generators.py", "banded_near_unitary")], (
+        "decide Hermitian-ness through operator.hermitian_gap")
+
+
+def test_controlled_solves_only_spectral_projections():
+    names = {name for _, name in eigen_solves(tree_of(SRC / "controlled.py"))}
+    assert names == {"chi_rank", "kappa_even", "kappa_odd"}, (
+        "read norms and defects off operator.spectrum")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -129,3 +180,10 @@ def test_guards_catch_what_they_name():
                      '    return "%.17g" % v\n\n\ndef dumps(x):\n'
                      '    return f"{x:.17g}," + "%.17g" % x\n')
     assert number_formats(tree) == [(6, "_tokens"), (10, "dumps"), (10, "dumps")]
+    tree = ast.parse("import numpy as np\n\n\ndef gap(m):\n"
+                     "    return np.linalg.norm(m - m.conj().T), m.T - m.conj().T\n\n\n"
+                     "def rank(p):\n    h = p.a - p.a.conj().T\n"
+                     "    return nearly_hermitian(p) + np.linalg.eigvalsh(h).size\n\n\n"
+                     "def polar(u):\n    return np.linalg.eigh(u), linalg.eigh(u)\n")
+    assert hermitian_tests(tree) == [(5, "gap"), (9, "rank"), (10, "rank")]
+    assert eigen_solves(tree) == [(10, "rank"), (14, "polar")]
