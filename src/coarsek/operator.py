@@ -11,21 +11,39 @@ Only this module spells the layout out: ``coordinates_of`` (the coordinates
 of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
 blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
-part) and ``direct_sum`` (copies side by side).  Every norm and defect is
-read off one spectral kernel, ``spectrum``, after one Hermitian test,
-``hermitian_gap``.
+part) and ``direct_sum`` (copies side by side).
+
+Every norm and defect reads the blocks of one split of the nonzero pattern.
+The defects read ``spectrum``, the block eigenvalues or squared singular
+values, after one Hermitian test, ``hermitian_gap``.  ``opnorm`` is the top
+singular value of every input and runs no Hermitian test.  A block with a
+side below ``LANCZOS_MIN`` gives the ``eigvalsh`` of its Gram matrix; a
+larger one takes Lanczos on its Gram matrix from a fixed start vector, at
+most ``LANCZOS_STEPS`` steps, and keeps the Ritz value only when a Cholesky
+factorisation with an explicit rounding margin certifies it, else falls
+back to ``eigvalsh``.  Norms agree with a whole-matrix solve up to
+rounding, so they may differ from it in the last bits.  Each Gram product
+is taken of a block scaled by an exact power of two when its entries are
+too large or too small to square safely.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, eigh_tridiagonal
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, ShapeError
 
 DEFAULT_TAU = 1e-12
+LANCZOS_MIN = 160    # blocks with both sides at least this take certified Lanczos
+LANCZOS_STEPS = 64   # the Lanczos step cap before the fallback
+SQUARE_SAFE = 2.0 ** 150  # largest moduli in [1/this, this] square without harm
+_EPS = np.finfo(float).eps
+_TINY = np.nextafter(0.0, 1.0)
 
 
 class FiniteOperator:
@@ -179,41 +197,53 @@ def spectrum(m, herm):
     smaller side, a 1x1 block its real part or squared modulus.  The values
     left out (zero rows and columns, the missing side of a non-square block)
     are zeros.  Non-finite entries raise DomainError."""
+    values = [np.zeros(0)]
+    for b in _pattern_blocks(m, herm):
+        if b.shape[1:] == (1, 1):
+            values.append((b.real if herm else np.abs(b) ** 2).ravel())
+        elif herm:
+            values.append(np.linalg.eigvalsh(b).ravel())
+        else:
+            b, e = _scaled(b)
+            values.append(np.ldexp(_gram_eigvalsh(b), 2 * e[:, None]).ravel())
+    values = np.concatenate(values)
+    return values, values.size
+
+
+def _pattern_blocks(m, herm):
+    """The blocks of the nonzero pattern of ``m`` (see ``spectrum``), as
+    stacks of same-shape blocks; a single block whose rows and columns are
+    runs is a view of ``m``."""
     if not np.isfinite(m).all():
         raise DomainError("spectrum of a matrix with non-finite entries")
     nz = m != 0
     if herm:
         nz = nz | nz.T
-    rows = np.flatnonzero(nz.any(axis=1))
-    cols = np.flatnonzero(nz.any(axis=0))
-    row_lab, col_lab = _pattern_components(nz, rows, cols, herm)
+    row_nz, col_nz = np.count_nonzero(nz, axis=1), np.count_nonzero(nz, axis=0)
+    rows, cols = np.flatnonzero(row_nz), np.flatnonzero(col_nz)
+    if row_nz.max(initial=0) == cols.size or col_nz.max(initial=0) == rows.size:
+        # a row that meets every column (or a column every row) joins them all
+        row_lab, col_lab = np.zeros(rows.size, int), np.zeros(cols.size, int)
+    else:
+        row_lab, col_lab = _pattern_components(nz, rows, cols, herm)
     nr, nc = np.bincount(row_lab), np.bincount(col_lab)
+    if nr.size == 1 and np.ptp(rows) + 1 == rows.size and np.ptp(cols) + 1 == cols.size:
+        yield m[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1][None]
+        return
     row_order = rows[np.argsort(row_lab, kind="stable")]
     col_order = cols[np.argsort(col_lab, kind="stable")]
     row_start, col_start = np.cumsum(nr) - nr, np.cumsum(nc) - nc
-    values = [np.zeros(0)]
     for p, q in set(zip(nr.tolist(), nc.tolist())):
         comps = np.flatnonzero((nr == p) & (nc == q))
         ri = row_order[row_start[comps, None] + np.arange(p)]
         ci = col_order[col_start[comps, None] + np.arange(q)]
-        b = m[ri[:, :, None], ci[:, None, :]]
-        if p == q == 1:
-            values.append((b.real if herm else np.abs(b) ** 2).ravel())
-            continue
-        if not herm:
-            adj = np.swapaxes(b.conj(), -1, -2)
-            b = adj @ b if q <= p else b @ adj
-        values.append(np.linalg.eigvalsh(b).ravel())
-    values = np.concatenate(values)
-    return values, values.size
+        yield m[ri[:, :, None], ci[:, None, :]]
 
 
 def _pattern_components(nz, rows, cols, herm):
     """Component labels of the listed rows and columns of a boolean pattern:
     of the symmetric graph when ``herm``, else of the bipartite graph."""
     n_rows, n_cols = rows.size, cols.size
-    if np.count_nonzero(nz) == n_rows * n_cols:  # one full block (or none), in order
-        return np.zeros(n_rows, int), np.zeros(n_cols, int)
     i, j = np.nonzero(nz[np.ix_(rows, cols)])
     nodes = n_rows if herm else n_rows + n_cols
     indptr = np.full(nodes + 1, i.size)
@@ -225,16 +255,129 @@ def _pattern_components(nz, rows, cols, herm):
     return (labels, labels) if herm else (labels[:n_rows], labels[n_rows:])
 
 
+def _scaled(b):
+    """``(b', e)``: the stack ``b`` with block ``i`` times ``2**-e[i]``,
+    exactly.  ``e[i]`` is 0 when the block's largest modulus lies in
+    ``[1/SQUARE_SAFE, SQUARE_SAFE]``, so such a block keeps its bits;
+    otherwise it brings that modulus to about 1."""
+    parts = b.view(b.real.dtype) if np.iscomplexobj(b) else b
+    # the largest |real part| or |imaginary part|: within sqrt(2) of the largest modulus
+    top = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))
+    e = np.where((top < 1 / SQUARE_SAFE) | (top > SQUARE_SAFE), np.frexp(top)[1], 0)
+    if not e.any():
+        return b, e
+    parts = np.ldexp(parts, -e[:, None, None])
+    return (parts.view(b.dtype) if np.iscomplexobj(b) else parts), e
+
+
+def _gram_eigvalsh(b):
+    """The ascending eigenvalues, one row per block, of the Gram matrices on
+    the smaller side of the blocks of the stack ``b``."""
+    adj = np.swapaxes(b.conj(), -1, -2)
+    gram = adj @ b if b.shape[2] <= b.shape[1] else b @ adj
+    return np.linalg.eigvalsh(gram)
+
+
 def opnorm(op):
-    """Operator (spectral) norm of a FiniteOperator or a matrix, read off
-    ``spectrum``: the largest |eigenvalue| if it is square and nearly Hermitian
-    (decided once, for the whole matrix), else the largest singular value."""
+    """Operator (spectral) norm of a FiniteOperator or a matrix: the top
+    singular value, the largest over the blocks of ``spectrum``'s split on
+    the bipartite pattern.  A 1x1 block gives its modulus; a block with a
+    side below ``LANCZOS_MIN`` the batched Gram ``eigvalsh``; a larger block
+    ``_lanczos_norm``'s certified Lanczos value.  Blocks are scaled by exact
+    powers of two before a Gram product (``_scaled``)."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    herm = m.shape[0] == m.shape[1] and hermitian_gap(m)[1]
-    values, _ = spectrum(m, herm)
-    if herm:
-        return float(np.abs(values).max(initial=0.0))
-    return float(np.sqrt(max(values.max(initial=0.0), 0.0)))
+    top = 0.0
+    for b in _pattern_blocks(m, False):
+        p, q = b.shape[1:]
+        if p == q == 1:
+            top = max(top, float(np.abs(b).max()))
+            continue
+        b, e = _scaled(b)
+        if min(p, q) < LANCZOS_MIN:
+            gram = _gram_eigvalsh(b)[:, -1]
+        else:
+            gram = np.array([_lanczos_norm(block) for block in b])
+        top = max(top, float(np.ldexp(np.sqrt(np.maximum(gram, 0.0)), e).max()))
+    return top
+
+
+def _lanczos_norm(b):
+    """The top eigenvalue of the Gram matrix on the smaller side of one block
+    (its squared norm).  The Gram matrix is formed once (``zherk`` gives its
+    conjugate, which has the same eigenvalues); the Lanczos value is returned
+    when ``_certified`` proves it, else the ``eigvalsh`` of that matrix."""
+    p, q = b.shape
+    g = zherk(1.0, np.asarray(b, complex).T, trans=0 if q <= p else 2)
+    full = np.conj(g.T)  # zherk fills the upper triangle and leaves zeros below
+    full += g
+    full[np.diag_indices(len(g))] *= 0.5
+    theta = _lanczos_top(full)
+    if theta is None or not _certified(g, theta, max(p, q)):
+        theta = np.linalg.eigvalsh(full)[-1]  # the fallback
+    return theta
+
+
+def _lanczos_top(g):
+    """Lanczos on the Hermitian ``g`` from a fixed unit start vector, each
+    new vector orthogonalised against all earlier ones twice (CGS2): the top
+    Ritz value ``theta`` once its residual ``beta_k |s_k|`` is at most
+    ``8 n eps theta`` (tested every fourth step), or None when
+    ``LANCZOS_STEPS`` steps do not get there (Golub & Van Loan, Matrix
+    Computations, 4th ed., 10.1 and 10.4)."""
+    n = g.shape[0]
+    basis = np.empty((LANCZOS_STEPS + 1, n), complex)
+    start = np.random.default_rng(0).standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(LANCZOS_STEPS), np.empty(LANCZOS_STEPS)
+    for j in range(LANCZOS_STEPS):
+        w = g @ basis[j]
+        done = basis[:j + 1]
+        h = (done @ w.conj()).conj()
+        w -= h @ done
+        h2 = (done @ w.conj()).conj()
+        w -= h2 @ done
+        alpha[j] = (h[j] + h2[j]).real
+        beta[j] = np.sqrt(np.vdot(w, w).real)
+        if j % 4 == 3 or beta[j] == 0:
+            theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
+                                        select_range=(j, j))
+            if beta[j] == 0 or beta[j] * abs(s[-1, 0]) <= 8 * n * _EPS * theta[0]:
+                return theta[0]
+        basis[j + 1] = w / beta[j]
+    return None
+
+
+def _certified(g, theta, inner):
+    """Whether a Cholesky factorisation proves that the exact Gram matrix,
+    whose computed upper triangle ``g`` was formed from inner products of
+    length ``inner``, has no eigenvalue above ``c = theta (1 + 1e-10)``.
+    It factors ``(c - alpha) I - g``; the margin ``alpha`` is the Gram
+    rounding bound ``gamma_{inner+2} ||B||_F^2`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.6: two more roundings
+    per complex inner product) plus Rump's isspd margin for a factorisation
+    of ``(c - gram bound) I - g`` (Rump, Verification methods, Acta
+    Numerica 19, 2010, after Higham 10.1), with ``gamma_{n+4}`` for his
+    ``gamma_{n+1}`` (complex arithmetic and the rounded diagonal) and
+    ``eps c`` for rounding the shift and the margin themselves.
+    Overwrites ``g``."""
+    n = g.shape[0]
+    c = theta * (1 + 1e-10)
+    trace = g.trace().real
+    gram_err = _gamma(inner + 2) * trace / (1 - _gamma(inner + 2))
+    shifted_trace = n * (c - gram_err) - trace
+    if not shifted_trace > 0:
+        return False
+    k = _gamma(n + 4)
+    chol_err = (k / (1 - 2 * k) * shifted_trace
+                + 4 * (n + 1) * (2 * (n + 2) + c) * _TINY + _EPS * c)
+    np.negative(g, out=g)
+    g[np.diag_indices(n)] += c - gram_err - chol_err
+    return zpotrf(g, lower=0, overwrite_a=1, clean=0)[1] == 0
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _EPS / 2 / (1 - k * _EPS / 2)
 
 
 def herm_defect(op, gap=None):

@@ -2,8 +2,10 @@
 (and ``geometry``, which defines ``point_of_coord``), every float is
 formatted by the one number writer, whether a matrix is Hermitian is decided
 only in ``operator`` and ``controlled`` solves no eigenproblem beside its
-spectral projections, no module keeps an import it no longer uses, and no
-private top-level name is left unread."""
+spectral projections, ``opnorm`` runs no Hermitian test and no dense
+eigensolve outside its small-block path and its Lanczos fallback, no module
+keeps an import it no longer uses, and no private top-level name is left
+unread."""
 
 import ast
 from pathlib import Path
@@ -108,14 +110,46 @@ def hermitian_tests(tree):
     return top_level_hits(tree, hit)
 
 
+def eigen_solve(node):
+    """Whether the node is a ``np.linalg.eigvalsh(...)`` or ``np.linalg.eigh(...)`` call."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"eigvalsh", "eigh"}
+            and ast.dump(node.func.value) == ast.dump(
+                ast.parse("np.linalg", mode="eval").body))
+
+
 def eigen_solves(tree):
     """Hits of ``np.linalg.eigvalsh(...)`` and ``np.linalg.eigh(...)``."""
-    def hit(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in {"eigvalsh", "eigh"}
-                and ast.dump(node.func.value) == ast.dump(
-                    ast.parse("np.linalg", mode="eval").body))
-    return top_level_hits(tree, hit)
+    return top_level_hits(tree, eigen_solve)
+
+
+def called_names(node):
+    """Names called below the node, as bare names or attributes."""
+    return {getattr(sub.func, "id", getattr(sub.func, "attr", None))
+            for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+
+
+def reachable(tree, root):
+    """The top-level functions that ``root`` reaches by calling them by name,
+    itself included."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            todo.extend(called_names(defs[name]))
+    return {name: defs[name] for name in seen}
+
+
+def unguarded_solves(func, guard):
+    """Lines of the eigensolves in ``func`` that are not in the body of an
+    ``if`` whose test calls ``guard``."""
+    guarded = {id(sub) for node in ast.walk(func)
+               if isinstance(node, ast.If) and guard in called_names(node.test)
+               for stmt in node.body for sub in ast.walk(stmt)}
+    return [node.lineno for node in ast.walk(func)
+            if eigen_solve(node) and id(node) not in guarded]
 
 
 def test_modules_found():
@@ -149,6 +183,17 @@ def test_controlled_solves_only_spectral_projections():
     names = {name for _, name in eigen_solves(tree_of(SRC / "controlled.py"))}
     assert names == {"chi_rank", "kappa_even", "kappa_odd"}, (
         "read norms and defects off operator.spectrum")
+
+
+def test_opnorm_solves_only_small_blocks_and_fallbacks():
+    funcs = reachable(tree_of(SRC / "operator.py"), "opnorm")
+    assert "hermitian_gap" not in funcs, "opnorm is the top singular value of every input"
+    solvers = {name for name, func in funcs.items()
+               if any(eigen_solve(node) for node in ast.walk(func))}
+    assert solvers == {"_gram_eigvalsh", "_lanczos_norm"}, (
+        "opnorm solves dense eigenproblems only for small blocks and as the fallback")
+    assert unguarded_solves(funcs["_lanczos_norm"], "_certified") == [], (
+        "a large block's eigvalsh runs only when the Lanczos value is not certified")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -187,3 +232,13 @@ def test_guards_catch_what_they_name():
                      "def polar(u):\n    return np.linalg.eigh(u), linalg.eigh(u)\n")
     assert hermitian_tests(tree) == [(5, "gap"), (9, "rank"), (10, "rank")]
     assert eigen_solves(tree) == [(10, "rank"), (14, "polar")]
+    tree = ast.parse("def norm(m):\n    return _small(m) + _large(m) + gap(m)\n\n\n"
+                     "def _small(m):\n    return np.linalg.eigvalsh(m)\n\n\n"
+                     "def _large(m):\n    t = _top(m)\n    if t is None or not _ok(m, t):\n"
+                     "        t = np.linalg.eigvalsh(m)\n    return t + np.linalg.eigh(m)\n\n\n"
+                     "def gap(m):\n    return 0\n\n\ndef _top(m):\n    return 1\n\n\n"
+                     "def _unreached(m):\n    return gap(m)\n")
+    funcs = reachable(tree, "norm")
+    assert sorted(funcs) == ["_large", "_small", "_top", "gap", "norm"]
+    assert unguarded_solves(funcs["_large"], "_ok") == [13]
+    assert unguarded_solves(funcs["_small"], "_ok") == [6]
