@@ -21,10 +21,13 @@ side below ``LANCZOS_MIN`` gives the ``eigvalsh`` of its Gram matrix; a
 larger one takes Lanczos on its Gram matrix from a fixed start vector, at
 most ``LANCZOS_STEPS`` steps, and keeps the Ritz value only when a Cholesky
 factorisation with an explicit rounding margin certifies it, else falls
-back to ``eigvalsh``.  Norms agree with a whole-matrix solve up to
-rounding, so they may differ from it in the last bits.  Each Gram product
-is taken of a block scaled by an exact power of two when its entries are
-too large or too small to square safely.
+back to ``eigvalsh``.  A norm from ``eigvalsh`` agrees with a whole-matrix
+solve up to rounding.  A certified Lanczos norm is a Ritz value, below the
+true norm up to rounding, and the certificate proves the true norm is at
+most ``(1 + 5e-11)`` times it; in practice the two agree to a few units of
+rounding.  Either way norms may differ from earlier versions in the last
+bits.  Each Gram product is taken of a block scaled by an exact power of
+two when its entries are too large or too small to square safely.
 """
 
 from __future__ import annotations
@@ -212,8 +215,7 @@ def spectrum(m, herm):
 
 def _pattern_blocks(m, herm):
     """The blocks of the nonzero pattern of ``m`` (see ``spectrum``), as
-    stacks of same-shape blocks; a single block whose rows and columns are
-    runs is a view of ``m``."""
+    C-contiguous stacks of same-shape blocks."""
     if not np.isfinite(m).all():
         raise DomainError("spectrum of a matrix with non-finite entries")
     nz = m != 0
@@ -227,9 +229,6 @@ def _pattern_blocks(m, herm):
     else:
         row_lab, col_lab = _pattern_components(nz, rows, cols, herm)
     nr, nc = np.bincount(row_lab), np.bincount(col_lab)
-    if nr.size == 1 and np.ptp(rows) + 1 == rows.size and np.ptp(cols) + 1 == cols.size:
-        yield m[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1][None]
-        return
     row_order = rows[np.argsort(row_lab, kind="stable")]
     col_order = cols[np.argsort(col_lab, kind="stable")]
     row_start, col_start = np.cumsum(nr) - nr, np.cumsum(nc) - nc
@@ -256,10 +255,11 @@ def _pattern_components(nz, rows, cols, herm):
 
 
 def _scaled(b):
-    """``(b', e)``: the stack ``b`` with block ``i`` times ``2**-e[i]``,
-    exactly.  ``e[i]`` is 0 when the block's largest modulus lies in
-    ``[1/SQUARE_SAFE, SQUARE_SAFE]``, so such a block keeps its bits;
-    otherwise it brings that modulus to about 1."""
+    """``(b', e)``: the C-contiguous stack ``b`` (as ``_pattern_blocks``
+    yields it; a complex one is read as pairs of reals) with block ``i``
+    times ``2**-e[i]``, exactly.  ``e[i]`` is 0 when the block's largest
+    modulus lies in ``[1/SQUARE_SAFE, SQUARE_SAFE]``, so such a block keeps
+    its bits; otherwise it brings that modulus to about 1."""
     parts = b.view(b.real.dtype) if np.iscomplexobj(b) else b
     # the largest |real part| or |imaginary part|: within sqrt(2) of the largest modulus
     top = np.maximum(parts.max(axis=(1, 2)), -parts.min(axis=(1, 2)))

@@ -144,6 +144,18 @@ def test_a_bound_inside_the_rounding_margin_is_rejected(monkeypatch, path):
     assert path == ["rejected"]
 
 
+def test_the_certificate_proves_only_a_5e_11_window(monkeypatch, path):
+    rng = np.random.default_rng(33)
+    m = complex_gaussian(rng, (LANCZOS_MIN + 20, LANCZOS_MIN + 20))
+    top = np.linalg.svd(m, compute_uv=False)[0]
+    # a Ritz value 1e-11 below the top eigenvalue of the Gram matrix is
+    # certified: the proof bounds the norm by sqrt(c), 5e-11 above sqrt(theta)
+    monkeypatch.setattr(operator, "_lanczos_top", lambda g: top ** 2 * (1 - 1e-11))
+    got = opnorm(m)
+    assert path == ["certified"]
+    assert got < top <= got * (1 + 5e-11)
+
+
 def test_same_bits_whatever_the_global_rng(circle, spacing, path):
     m = random_banded(circle, 3 * spacing, np.random.default_rng(27))
     np.random.seed(1)

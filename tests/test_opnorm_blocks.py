@@ -8,10 +8,11 @@ is zero-padded to a square one first, which leaves its norm unchanged.
 import numpy as np
 import pytest
 
+from coarsek.controlled import unitary_defects
 from coarsek.errors import DomainError
-from coarsek.generators import random_banded, random_region_supported
-from coarsek.geometry import circle_space
-from coarsek.operator import FiniteOperator, opnorm, restrict
+from coarsek.generators import haar_unitary, random_banded, random_region_supported
+from coarsek.geometry import circle_space, uniform_edge_space
+from coarsek.operator import FiniteOperator, opnorm, restrict, spectrum
 
 REL = 1e-12
 
@@ -163,6 +164,27 @@ def test_exact_cases(circle):
     d = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     assert opnorm(np.diag(d)) == np.abs(d).max()
     assert opnorm(np.diag(d.real)) == np.abs(d.real).max()
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_adjoints_and_transposes(n):
+    # adjoint() and .T are Fortran-ordered: every kernel reads them as it
+    # reads the matrix itself, on small blocks and on large ones
+    rng = np.random.default_rng(18)
+    space = uniform_edge_space(n)
+    op = FiniteOperator(space, rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    m = op.entries
+    want = dense_opnorm(m)
+    for other in (op.H, m.T, m.conj().T, np.asfortranarray(m)):
+        assert opnorm(other) == pytest.approx(want, rel=REL, abs=0)
+    # a scaled transpose stays Fortran-ordered and takes the power-of-two scaling
+    assert opnorm(2.0 ** -560 * m.T) == pytest.approx(2.0 ** -560 * want, rel=REL, abs=0)
+    values = np.sort(spectrum(m, False)[0])
+    assert np.sort(spectrum(m.T, False)[0]) == pytest.approx(values, abs=1e-12 * values[-1])
+    u = FiniteOperator(space, haar_unitary(n, rng))
+    assert unitary_defects(u.H) == pytest.approx(unitary_defects(u), abs=1e-12)
+    assert max(unitary_defects(u.H)) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
