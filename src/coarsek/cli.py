@@ -84,10 +84,11 @@ def _complex_validate(knobs, complex_file):
 def _discretize(knobs, complex_file):
     cx = _load(serialize.loads_complex, complex_file)
     space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
-    _write(knobs["out"], "space.txt", serialize.dumps_space(space))
+    text = serialize.dumps_space(space)
+    _write(knobs["out"], "space.txt", text)
     return Outcome({"mesh": knobs["mesh"], "points": len(space),
                     "total_dim": space.total_dim,
-                    "space_hash": serialize.space_hash(space)})
+                    "space_hash": serialize.digest(text)})
 
 
 def _op_prop(knobs, space_file, operator_file):

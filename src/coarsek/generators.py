@@ -37,13 +37,16 @@ def band_mask(space, amplification, r):
 def random_banded(space, r, rng, amplification=1, selfadjoint=False, norm=None):
     """Dense complex Gaussian matrix supported on the open band d < r."""
     n = amplification * space.total_dim
-    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    m *= band_mask(space, amplification, r)
+    m = np.empty((n, n), complex)  # the bits of re + 1j * im, without the temporaries
+    m.real = rng.standard_normal((n, n))
+    m.imag = rng.standard_normal((n, n))
+    if not (space.dist < r).all():  # an all-true mask (r = inf, connected) is skipped
+        m *= band_mask(space, amplification, r)
     if selfadjoint:
         m = (m + m.conj().T) / 2
     if norm is not None and m.any():
         m *= norm / opnorm(m)
-    return FiniteOperator(space, m, amplification)
+    return FiniteOperator._owning(space, m, amplification)
 
 
 def random_region_supported(space, region, rng, amplification=1, norm=1.0,
@@ -54,8 +57,8 @@ def random_region_supported(space, region, rng, amplification=1, norm=1.0,
                        rng, amplification)
     m = op.entries * lift(space, amplification, np.outer(region, region))
     if m.any() and norm is not None:
-        m = m * (norm / opnorm(m))
-    return FiniteOperator(space, m, amplification)
+        m *= norm / opnorm(m)
+    return FiniteOperator._owning(space, m, amplification)
 
 
 def haar_unitary(n, rng):

@@ -7,6 +7,17 @@ fiber per sample point).  Coordinates are stored copy-major: coordinate
 folded into the dense matrix only when a concrete matrix is needed, so the
 scalar bookkeeping stays exact.
 
+An operator's entries and scalar part are finite and read-only, and no
+other object holds them; the entries are C-ordered.  The public
+constructor copies what it is given.  Results the library builds on arrays
+it has just made (sums, differences, scalar multiples, products without a
+scalar part, ``restrict``, ``direct_sum`` and the generators' random
+operators) take them over uncopied, after the same checks
+(``FiniteOperator._owning``).  So ``opnorm`` scans only an operator with a
+scalar part for non-finite entries: folding the scalar in can overflow.  A
+difference is one subtraction, with the numbers of adding ``-1.0`` times
+the second operand, though a zero may carry the other sign.
+
 Only this module spells the layout out: ``coordinates_of`` (the coordinates
 of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
@@ -19,22 +30,26 @@ values, after one Hermitian test, ``hermitian_gap``.  ``opnorm`` is the top
 singular value of every input and runs no Hermitian test.  A block with a
 side below ``LANCZOS_MIN`` gives the ``eigvalsh`` of its Gram matrix; a
 larger one takes Lanczos on its Gram matrix from a fixed start vector, at
-most ``LANCZOS_STEPS`` steps, and keeps the Ritz value only when a Cholesky
-factorisation with an explicit rounding margin certifies it, else falls
-back to ``eigvalsh``.  A norm from ``eigvalsh`` agrees with a whole-matrix
-solve up to rounding.  A certified Lanczos norm is a Ritz value, below the
-true norm up to rounding, and the certificate proves the true norm is at
-most ``(1 + 5e-11)`` times it; in practice the two agree to a few units of
-rounding.  Either way norms may differ from earlier versions in the last
-bits.  Each Gram product is taken of a block scaled by an exact power of
-two when its entries are too large or too small to square safely.
+most ``LANCZOS_STEPS`` steps.  The iteration stops once the top Ritz
+value's residual, or its Kato-Temple error estimate (the squared residual
+over the gap to the next Ritz value), is at most ``8 n eps`` times that
+value.  The Ritz value is kept only when a Cholesky factorisation with an
+explicit rounding margin certifies it, else the block falls back to
+``eigvalsh``; neither stop rule is part of that proof.  A norm from
+``eigvalsh`` agrees with a whole-matrix solve up to rounding.  A certified
+Lanczos norm is a Ritz value, below the true norm up to rounding, and the
+certificate proves the true norm is at most ``(1 + 5e-11)`` times it; in
+practice the two agree to a few units of rounding.  Either way norms may
+differ from earlier versions in the last bits.  Each Gram product is taken
+of a block scaled by an exact power of two when its entries are too large
+or too small to square safely.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import block_diag, eigh_tridiagonal
-from scipy.linalg.blas import zherk
+from scipy.linalg.blas import zgemv, zherk
 from scipy.linalg.lapack import zpotrf
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -53,10 +68,22 @@ class FiniteOperator:
     """A complex matrix over a SampledSpace with block structure by point pairs."""
 
     def __init__(self, space, entries, amplification=1, scalar=None):
+        # a copy: the caller's array may change
+        self._take(space, np.array(entries, dtype=complex), amplification, scalar)
+
+    @classmethod
+    def _owning(cls, space, entries, amplification=1, scalar=None):
+        """The operator on ``entries``, an array the library has just made
+        and keeps no other reference to: checked as the constructor checks
+        its copy and made C-ordered, but not copied."""
+        op = cls.__new__(cls)
+        op._take(space, np.ascontiguousarray(entries, dtype=complex), amplification, scalar)
+        return op
+
+    def _take(self, space, entries, amplification, scalar):
         self.space = space
         self.amplification = int(amplification)
         n = self.amplification * space.total_dim
-        entries = np.array(entries, dtype=complex)  # a copy: the caller's array may change
         if entries.shape != (n, n):
             raise ShapeError(
                 f"entries shape {entries.shape} != ({n}, {n}) for amplification "
@@ -66,7 +93,7 @@ class FiniteOperator:
         self.entries = entries
         self.entries.flags.writeable = False
         if scalar is not None:
-            scalar = np.atleast_1d(np.asarray(scalar, dtype=complex))
+            scalar = np.atleast_1d(np.array(scalar, dtype=complex))  # a copy, too
             if scalar.shape == (1,):
                 scalar = np.full(self.amplification, scalar[0])
             if scalar.shape != (self.amplification,):
@@ -134,21 +161,27 @@ class FiniteOperator:
             raise ShapeError("amplification mismatch")
 
     def __add__(self, other):
+        return self._pointwise(np.add, other)
+
+    def __sub__(self, other):
+        return self._pointwise(np.subtract, other)
+
+    def _pointwise(self, f, other):
+        """``f`` (``np.add`` or ``np.subtract``) of the entries and of the
+        scalar parts, an absent scalar part counting as 0."""
         self._require_compatible(other)
         scalar = None
         if self.scalar is not None or other.scalar is not None:
             a = self.scalar if self.scalar is not None else 0
             b = other.scalar if other.scalar is not None else 0
-            scalar = np.atleast_1d(a + b) * np.ones(self.amplification)
-        return FiniteOperator(self.space, self.entries + other.entries,
-                              self.amplification, scalar)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
+            scalar = np.atleast_1d(f(a, b)) * np.ones(self.amplification)
+        return FiniteOperator._owning(self.space, f(self.entries, other.entries),
+                                      self.amplification, scalar)
 
     def __mul__(self, c):
         scalar = None if self.scalar is None else c * self.scalar
-        return FiniteOperator(self.space, c * self.entries, self.amplification, scalar)
+        return FiniteOperator._owning(self.space, c * self.entries,
+                                      self.amplification, scalar)
 
     __rmul__ = __mul__
 
@@ -158,8 +191,8 @@ class FiniteOperator:
     def __matmul__(self, other):
         self._require_compatible(other)
         if self.scalar is None and other.scalar is None:
-            return FiniteOperator(self.space, self.entries @ other.entries,
-                                  self.amplification)
+            return FiniteOperator._owning(self.space, self.entries @ other.entries,
+                                          self.amplification)
         sa = self.scalar if self.scalar is not None else np.zeros(self.amplification)
         sb = other.scalar if other.scalar is not None else np.zeros(other.amplification)
         prod = self.concrete() @ other.concrete()
@@ -201,7 +234,7 @@ def spectrum(m, herm):
     left out (zero rows and columns, the missing side of a non-square block)
     are zeros.  Non-finite entries raise DomainError."""
     values = [np.zeros(0)]
-    for b in _pattern_blocks(m, herm):
+    for b in _pattern_blocks(_finite(m), herm):
         if b.shape[1:] == (1, 1):
             values.append((b.real if herm else np.abs(b) ** 2).ravel())
         elif herm:
@@ -213,11 +246,18 @@ def spectrum(m, herm):
     return values, values.size
 
 
-def _pattern_blocks(m, herm):
-    """The blocks of the nonzero pattern of ``m`` (see ``spectrum``), as
-    C-contiguous stacks of same-shape blocks."""
+def _finite(m):
+    """``m``, once it is known to have only finite entries."""
     if not np.isfinite(m).all():
         raise DomainError("spectrum of a matrix with non-finite entries")
+    return m
+
+
+def _pattern_blocks(m, herm):
+    """The blocks of the nonzero pattern of ``m`` (see ``spectrum``), as
+    C-contiguous stacks of same-shape blocks.  A lone block is taken with
+    one ``np.ix_`` gather, or is ``m`` itself (a copy only when ``m`` is
+    not C-contiguous) when it spans every row and column."""
     nz = m != 0
     if herm:
         nz = nz | nz.T
@@ -229,6 +269,10 @@ def _pattern_blocks(m, herm):
     else:
         row_lab, col_lab = _pattern_components(nz, rows, cols, herm)
     nr, nc = np.bincount(row_lab), np.bincount(col_lab)
+    if nr.size == 1:
+        whole = (rows.size, cols.size) == m.shape
+        yield (np.ascontiguousarray(m) if whole else m[np.ix_(rows, cols)])[None]
+        return
     row_order = rows[np.argsort(row_lab, kind="stable")]
     col_order = cols[np.argsort(col_lab, kind="stable")]
     row_start, col_start = np.cumsum(nr) - nr, np.cumsum(nc) - nc
@@ -243,7 +287,7 @@ def _pattern_components(nz, rows, cols, herm):
     """Component labels of the listed rows and columns of a boolean pattern:
     of the symmetric graph when ``herm``, else of the bipartite graph."""
     n_rows, n_cols = rows.size, cols.size
-    i, j = np.nonzero(nz[np.ix_(rows, cols)])
+    i, j = np.nonzero(nz if (n_rows, n_cols) == nz.shape else nz[np.ix_(rows, cols)])
     nodes = n_rows if herm else n_rows + n_cols
     indptr = np.full(nodes + 1, i.size)
     indptr[0] = 0
@@ -285,7 +329,10 @@ def opnorm(op):
     side below ``LANCZOS_MIN`` the batched Gram ``eigvalsh``; a larger block
     ``_lanczos_norm``'s certified Lanczos value.  Blocks are scaled by exact
     powers of two before a Gram product (``_scaled``)."""
-    m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
+    if isinstance(op, FiniteOperator) and not op.unitized:
+        m = op.entries  # checked finite when the operator was made
+    else:
+        m = _finite(op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op))
     top = 0.0
     for b in _pattern_blocks(m, False):
         p, q = b.shape[1:]
@@ -319,11 +366,16 @@ def _lanczos_norm(b):
 
 def _lanczos_top(g):
     """Lanczos on the Hermitian ``g`` from a fixed unit start vector, each
-    new vector orthogonalised against all earlier ones twice (CGS2): the top
-    Ritz value ``theta`` once its residual ``beta_k |s_k|`` is at most
-    ``8 n eps theta`` (tested every fourth step), or None when
+    new vector orthogonalised against all earlier ones twice (CGS2, in
+    place through BLAS): the top Ritz value ``theta`` once its residual
+    ``rho = beta_k |s_k|`` or the Kato-Temple estimate of its error,
+    ``rho**2 / (theta - theta_2)`` with ``theta_2`` the next Ritz value, is
+    at most ``8 n eps theta`` (tested every fourth step), or None when
     ``LANCZOS_STEPS`` steps do not get there (Golub & Van Loan, Matrix
-    Computations, 4th ed., 10.1 and 10.4)."""
+    Computations, 4th ed., 10.1 and 10.4; Parlett, The Symmetric Eigenvalue
+    Problem, 1998, for the Kato-Temple bound).  ``theta_2`` is at most the
+    second eigenvalue, so the estimate can fall short of the error: only
+    ``_certified`` makes the value sound."""
     n = g.shape[0]
     basis = np.empty((LANCZOS_STEPS + 1, n), complex)
     start = np.random.default_rng(0).standard_normal(n)
@@ -331,19 +383,20 @@ def _lanczos_top(g):
     alpha, beta = np.empty(LANCZOS_STEPS), np.empty(LANCZOS_STEPS)
     for j in range(LANCZOS_STEPS):
         w = g @ basis[j]
-        done = basis[:j + 1]
-        h = (done @ w.conj()).conj()
-        w -= h @ done
-        h2 = (done @ w.conj()).conj()
-        w -= h2 @ done
+        done = basis[:j + 1].T  # Fortran order: the earlier vectors are its columns
+        h = zgemv(1.0, done, w, trans=2)
+        w = zgemv(-1.0, done, h, beta=1.0, y=w, overwrite_y=1)
+        h2 = zgemv(1.0, done, w, trans=2)
+        w = zgemv(-1.0, done, h2, beta=1.0, y=w, overwrite_y=1)
         alpha[j] = (h[j] + h2[j]).real
         beta[j] = np.sqrt(np.vdot(w, w).real)
         if j % 4 == 3 or beta[j] == 0:
             theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
-                                        select_range=(j, j))
-            if beta[j] == 0 or beta[j] * abs(s[-1, 0]) <= 8 * n * _EPS * theta[0]:
-                return theta[0]
-        basis[j + 1] = w / beta[j]
+                                        select_range=(max(j - 1, 0), j))
+            rho, goal = beta[j] * abs(s[-1, -1]), 8 * n * _EPS * theta[-1]
+            if rho <= goal or rho * rho <= goal * (theta[-1] - theta[0]):
+                return theta[-1]
+        np.divide(w, beta[j], out=basis[j + 1])
     return None
 
 
@@ -398,9 +451,12 @@ def block_abs_max(op):
 
 
 def point_block_max(a, rows, cols):
-    """Max of a nonnegative matrix over each (row point, column point) block."""
-    return np.maximum.reduceat(np.maximum.reduceat(a, rows.offsets[:-1], axis=0),
-                               cols.offsets[:-1], axis=1)
+    """Max of a nonnegative matrix over each (row point, column point) block;
+    ``a`` itself along an axis whose points have one coordinate each."""
+    for axis, space in enumerate((rows, cols)):
+        if space.total_dim > len(space):
+            a = np.maximum.reduceat(a, space.offsets[:-1], axis=axis)
+    return a
 
 
 def support(op, tau=DEFAULT_TAU):
@@ -448,7 +504,7 @@ def restrict(op, rows, cols):
     if rows.all() and cols.all():
         return op
     cut = op.concrete() * lift(op.space, op.amplification, np.outer(rows, cols))
-    return FiniteOperator(op.space, cut, op.amplification)
+    return FiniteOperator._owning(op.space, cut, op.amplification)
 
 
 def compress(op, keep_points, keep_dims=None):
@@ -490,7 +546,7 @@ def direct_sum(ops):
     if any(o.scalar is not None for o in ops):
         scalar = np.concatenate([np.zeros(o.amplification, dtype=complex)
                                  if o.scalar is None else o.scalar for o in ops])
-    return FiniteOperator(space, block_diag(*(o.entries for o in ops)), k, scalar)
+    return FiniteOperator._owning(space, block_diag(*(o.entries for o in ops)), k, scalar)
 
 
 def amplify_scalar_matrix(space, amplification, matrix):

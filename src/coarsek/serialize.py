@@ -227,8 +227,14 @@ _HASHES = weakref.WeakKeyDictionary()  # space -> digest; a built space does not
 
 def space_hash(space):
     if space not in _HASHES:
-        _HASHES[space] = hashlib.sha256(dumps_space(space).encode()).hexdigest()[:16]
+        _HASHES[space] = digest(dumps_space(space))
     return _HASHES[space]
+
+
+def digest(text):
+    """The name of a space text (``space_hash`` of the space it holds): the
+    first 16 hex digits of its SHA-256."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # -- operators ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from coarsek import serialize
 from coarsek.cli import main
 from coarsek.coarse import CoarseMap
 from coarsek.controlled import QuasiParams, interpolation_certificate
@@ -25,6 +26,7 @@ from coarsek.serialize import (
     dumps_path,
     dumps_space,
     loads_report,
+    loads_space,
     space_hash,
 )
 
@@ -70,6 +72,18 @@ class TestBasicCommands:
         assert main(["op-prop", space_file, opf, "--out", outdir]) == 0
         fields, _ = read_report(outdir, "op-prop")
         assert float(fields["propagation"]) < 0.5
+
+    def test_discretize_formats_the_space_once(self, tmp_path, outdir, monkeypatch):
+        calls = []
+        dumps = serialize.dumps_space
+        monkeypatch.setattr(serialize, "dumps_space",
+                            lambda space: calls.append(space) or dumps(space))
+        cx = write(tmp_path / "complex.txt", "0 1\n")
+        assert main(["discretize", cx, "--mesh", "0.5", "--out", outdir]) == 0
+        assert len(calls) == 1
+        fields, _ = read_report(outdir, "discretize")
+        with open(os.path.join(outdir, "space.txt")) as fh:
+            assert fields["space_hash"] == space_hash(loads_space(fh.read()))
 
     def test_quasi_check_pass_and_fail(self, tmp_path, outdir):
         d = np.full((2, 2), 1.0)

@@ -24,6 +24,7 @@ from coarsek.operator import LANCZOS_MIN, FiniteOperator, opnorm, spectrum
 from test_opnorm_blocks import dense_opnorm
 
 REL = 1e-12
+LANCZOS_TOP = operator._lanczos_top
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,36 @@ def test_top_pair_within_1e_9(path):
     assert opnorm(m) == pytest.approx(1.0, rel=REL)
     agree(m)
     assert len(path) == 2
+
+
+def lanczos_steps(monkeypatch, g, gap_rule):
+    """The steps ``_lanczos_top`` takes on ``g``, with or without the
+    Kato-Temple stop (without it, the second Ritz value reads as the first,
+    so the estimate is zero only for a zero residual)."""
+    sizes = []
+    solve = operator.eigh_tridiagonal
+
+    def spy(alpha, beta, **kwargs):
+        theta, s = solve(alpha, beta, **kwargs)
+        sizes.append(alpha.size)
+        return (theta if gap_rule else np.full_like(theta, theta[-1])), s
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operator, "eigh_tridiagonal", spy)
+        assert LANCZOS_TOP(g) is not None
+    return sizes[-1]
+
+
+def test_the_gap_rule_ends_a_dense_region_supported_block(circle, path, monkeypatch):
+    rng = np.random.default_rng(34)
+    op = random_region_supported(circle, np.arange(len(circle)) < 280, rng)
+    grams, top = [], operator._lanczos_top
+    monkeypatch.setattr(operator, "_lanczos_top",
+                        lambda g: grams.append(g.copy()) or top(g))
+    agree(op)
+    assert len(grams) == 1 and set(path) == {"certified"}
+    steps = [lanczos_steps(monkeypatch, grams[0], rule) for rule in (True, False)]
+    assert steps[0] < steps[1]
 
 
 def test_near_unitary_with_a_clustered_top(circle, spacing, path):

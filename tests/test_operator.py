@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek.errors import DomainError, ShapeError
-from coarsek.generators import random_banded, rng_from, shift_unitary
-from coarsek.geometry import SampledSpace, build_complex, discretize
+from coarsek.generators import (
+    random_banded,
+    random_region_supported,
+    rng_from,
+    shift_unitary,
+)
+from coarsek.geometry import SampledSpace, build_complex, circle_space, discretize
 from coarsek.operator import (
     FiniteOperator,
     block_abs_max,
@@ -138,6 +143,70 @@ def test_entries_copied_not_frozen(line3):
     op = FiniteOperator(line3, m)
     m[0, 0] = 2  # the caller's array stays writable
     assert op.entries[0, 0] == 1 and not op.entries.flags.writeable
+
+
+class TestOwnership:
+    """Results the library builds own their entries: read-only, C-ordered,
+    sharing no memory with what they were made from."""
+
+    def test_public_constructor_copies_its_input(self, line3):
+        m = np.eye(6, dtype=complex)
+        m.flags.writeable = False
+        scalar = np.array([1.0, 2.0], dtype=complex)
+        op = FiniteOperator(line3, m, 2, scalar)
+        assert not np.shares_memory(op.entries, m)
+        assert not np.shares_memory(op.scalar, scalar) and scalar.flags.writeable
+        again = FiniteOperator(line3, op.entries, 2, op.scalar)
+        assert not np.shares_memory(again.entries, op.entries)
+        assert not np.shares_memory(again.scalar, op.scalar)
+
+    def test_results_share_nothing_with_their_operands(self, line3, rng):
+        a = random_banded(line3, 1.5, rng)
+        b = FiniteOperator(line3, random_banded(line3, 2.5, rng).entries, 1, [0.5 - 2j])
+        half = np.array([True, True, False])
+        results = {"+": (a + b, [a, b]), "-": (a - b, [a, b]),
+                   "*": (2.0 * b, [b]), "@": (a @ a, [a]),
+                   "restrict": (restrict(a, half, ~half), [a]),
+                   "direct_sum": (direct_sum([a, b]), [a, b])}
+        for name, (out, used) in results.items():
+            e = out.entries
+            assert not e.flags.writeable and e.flags.c_contiguous, name
+            assert not any(np.shares_memory(e, o.entries) for o in used), name
+
+    def test_generated_entries_are_read_only_and_fresh(self, line3, rng):
+        made = [random_banded(line3, 1.5, rng, norm=1.0),
+                random_banded(line3, np.inf, rng, selfadjoint=True),
+                random_region_supported(line3, [True, True, False], rng),
+                random_region_supported(line3, [True, True, True], rng, band_r=1.5)]
+        for op in made:
+            assert not op.entries.flags.writeable and op.entries.flags.c_contiguous
+        for i, op in enumerate(made):
+            assert not any(np.shares_memory(op.entries, o.entries) for o in made[i + 1:])
+
+    @pytest.mark.parametrize("amplification", [1, 2])
+    def test_subtraction_is_negate_and_add(self, rng, amplification):
+        space = circle_space(3, mesh=0.1)[1]
+        a, b = (random_banded(space, r, rng, amplification) for r in (0.3, 0.5))
+        one = FiniteOperator.identity(space, amplification)
+        for x, y in [(a, b), (one, a), (b, 3.0 * one), (one, (1 - 1j) * one),
+                     (FiniteOperator(space, a.entries, amplification, -0.0), b)]:
+            got, want = x - y, x + (-1.0) * y
+            assert (got.scalar is None) == (want.scalar is None)
+            for g, w in [(got.entries, want.entries), (got.scalar, want.scalar)]:
+                if w is None:
+                    continue
+                g, w = g.view(float), w.view(float)
+                assert np.array_equal(g, w)
+                # the same bits, except that a zero may carry the other sign
+                assert np.array_equal(g.view(np.int64)[g != 0], w.view(np.int64)[w != 0])
+
+    def test_unitized_overflow_is_caught_by_opnorm(self, line3):
+        big = np.finfo(float).max
+        op = FiniteOperator(line3, big * np.eye(3), 1, [big])
+        assert np.isfinite(op.entries).all() and np.isfinite(op.scalar).all()
+        with pytest.raises(DomainError, match="non-finite"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            opnorm(op)
 
 
 class TestAlgebra:
