@@ -49,8 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import block_diag, eigh_tridiagonal
-from scipy.linalg.blas import zgemv, zherk
-from scipy.linalg.lapack import zpotrf
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -350,28 +348,43 @@ def opnorm(op):
 
 def _lanczos_norm(b):
     """The top eigenvalue of the Gram matrix on the smaller side of one block
-    (its squared norm).  The Gram matrix is formed once (``zherk`` gives its
-    conjugate, which has the same eigenvalues); the Lanczos value is returned
-    when ``_certified`` proves it, else the ``eigvalsh`` of that matrix."""
+    (its squared norm).  The Gram matrix is formed once; the Lanczos value
+    is returned when ``_certified`` proves it, else the ``eigvalsh`` of that
+    matrix.  All of it runs on numpy's BLAS: scipy's BLAS and LAPACK routines
+    run on a second OpenBLAS thread pool, and alternating the two pools
+    makes these mid-size products several times slower on two cores."""
     p, q = b.shape
-    g = zherk(1.0, np.asarray(b, complex).T, trans=0 if q <= p else 2)
-    full = np.conj(g.T)  # zherk fills the upper triangle and leaves zeros below
-    full += g
-    full[np.diag_indices(len(g))] *= 0.5
-    theta = _lanczos_top(full)
+    g = _gram(b if q <= p else b.T)
+    theta = _lanczos_top(g)
     if theta is None or not _certified(g, theta, max(p, q)):
-        theta = np.linalg.eigvalsh(full)[-1]  # the fallback
+        theta = np.linalg.eigvalsh(g)[-1]  # the fallback
     return theta
+
+
+def _gram(b):
+    """``B* B`` for the ``(p, q)`` block ``b``, exactly Hermitian: numpy's
+    ``R^T R`` on the real ``(p, 2q)`` view ``R`` of ``B`` (one symmetric
+    rank-k update, half the work of a general product), whose 2x2 blocks
+    sum to the real and imaginary parts.  An entry is two real inner
+    products of length ``p``, added once more."""
+    b = np.ascontiguousarray(b, complex)
+    q = b.shape[1]
+    r = b.view(float)
+    s = (r.T @ r).reshape(q, 2, q, 2)
+    g = np.empty((q, q), complex)
+    np.add(s[:, 0, :, 0], s[:, 1, :, 1], out=g.real)
+    np.subtract(s[:, 0, :, 1], s[:, 1, :, 0], out=g.imag)
+    return g
 
 
 def _lanczos_top(g):
     """Lanczos on the Hermitian ``g`` from a fixed unit start vector, each
-    new vector orthogonalised against all earlier ones twice (CGS2, in
-    place through BLAS): the top Ritz value ``theta`` once its residual
-    ``rho = beta_k |s_k|`` or the Kato-Temple estimate of its error,
-    ``rho**2 / (theta - theta_2)`` with ``theta_2`` the next Ritz value, is
-    at most ``8 n eps theta`` (tested every fourth step), or None when
-    ``LANCZOS_STEPS`` steps do not get there (Golub & Van Loan, Matrix
+    new vector orthogonalised against all earlier ones twice (CGS2): the top
+    Ritz value ``theta`` once its residual ``rho = beta_k |s_k|`` or the
+    Kato-Temple estimate of its error, ``rho**2 / (theta - theta_2)`` with
+    ``theta_2`` the next Ritz value, is at most ``8 n eps theta`` (tested
+    every fourth step), or None when ``LANCZOS_STEPS`` steps do not get
+    there (Golub & Van Loan, Matrix
     Computations, 4th ed., 10.1 and 10.4; Parlett, The Symmetric Eigenvalue
     Problem, 1998, for the Kato-Temple bound).  ``theta_2`` is at most the
     second eigenvalue, so the estimate can fall short of the error: only
@@ -383,11 +396,11 @@ def _lanczos_top(g):
     alpha, beta = np.empty(LANCZOS_STEPS), np.empty(LANCZOS_STEPS)
     for j in range(LANCZOS_STEPS):
         w = g @ basis[j]
-        done = basis[:j + 1].T  # Fortran order: the earlier vectors are its columns
-        h = zgemv(1.0, done, w, trans=2)
-        w = zgemv(-1.0, done, h, beta=1.0, y=w, overwrite_y=1)
-        h2 = zgemv(1.0, done, w, trans=2)
-        w = zgemv(-1.0, done, h2, beta=1.0, y=w, overwrite_y=1)
+        done = basis[:j + 1]
+        h = (done @ w.conj()).conj()
+        w -= h @ done
+        h2 = (done @ w.conj()).conj()
+        w -= h2 @ done
         alpha[j] = (h[j] + h2[j]).real
         beta[j] = np.sqrt(np.vdot(w, w).real)
         if j % 4 == 3 or beta[j] == 0:
@@ -402,30 +415,37 @@ def _lanczos_top(g):
 
 def _certified(g, theta, inner):
     """Whether a Cholesky factorisation proves that the exact Gram matrix,
-    whose computed upper triangle ``g`` was formed from inner products of
-    length ``inner``, has no eigenvalue above ``c = theta (1 + 1e-10)``.
+    computed by ``_gram`` as ``g`` from real inner products of length
+    ``inner``, has no eigenvalue above ``c = theta (1 + 1e-10)``.
     It factors ``(c - alpha) I - g``; the margin ``alpha`` is the Gram
-    rounding bound ``gamma_{inner+2} ||B||_F^2`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.6: two more roundings
-    per complex inner product) plus Rump's isspd margin for a factorisation
-    of ``(c - gram bound) I - g`` (Rump, Verification methods, Acta
-    Numerica 19, 2010, after Higham 10.1), with ``gamma_{n+4}`` for his
+    rounding bound ``gamma_{2 inner+2} ||B||_F^2`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1: the real and the
+    imaginary part of an entry each err by at most ``gamma_{inner+1}``
+    times the sum of ``|b_ik| |b_il|``, so the entry by ``sqrt(2)`` times
+    that, and ``sqrt(2) gamma_{inner+1} <= gamma_{2 inner+2}``; the
+    computed diagonal, whose sum is ``trace``, is at least
+    ``1 - gamma_{inner+1}`` times the exact one) plus Rump's isspd margin
+    for a factorisation of ``(c - gram bound) I - g`` (Rump, Verification
+    methods, Acta Numerica 19, 2010, after Higham 10.1), with ``gamma_{n+4}`` for his
     ``gamma_{n+1}`` (complex arithmetic and the rounded diagonal) and
-    ``eps c`` for rounding the shift and the margin themselves.
-    Overwrites ``g``."""
+    ``eps c`` for rounding the shift and the margin themselves."""
     n = g.shape[0]
     c = theta * (1 + 1e-10)
     trace = g.trace().real
-    gram_err = _gamma(inner + 2) * trace / (1 - _gamma(inner + 2))
+    gram_err = _gamma(2 * inner + 2) * trace / (1 - _gamma(2 * inner + 2))
     shifted_trace = n * (c - gram_err) - trace
     if not shifted_trace > 0:
         return False
     k = _gamma(n + 4)
     chol_err = (k / (1 - 2 * k) * shifted_trace
                 + 4 * (n + 1) * (2 * (n + 2) + c) * _TINY + _EPS * c)
-    np.negative(g, out=g)
-    g[np.diag_indices(n)] += c - gram_err - chol_err
-    return zpotrf(g, lower=0, overwrite_a=1, clean=0)[1] == 0
+    shifted = np.negative(g)
+    shifted[np.diag_indices(n)] += c - gram_err - chol_err
+    try:
+        np.linalg.cholesky(shifted)  # reads the lower triangle
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _gamma(k):

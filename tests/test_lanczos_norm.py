@@ -237,3 +237,16 @@ def test_small_blocks_stay_off_the_lanczos_path(circle, spacing, path):
     agree(complex_gaussian(rng, (n, 2 * n)))
     agree(FiniteOperator(circle, random_banded(circle, 0.5 * spacing, rng).entries))
     assert path == []
+
+
+@pytest.mark.parametrize("shape", [(200, 170), (170, 200)])
+def test_gram_is_hermitian_and_inside_its_rounding_bound(shape):
+    rng = np.random.default_rng(35)
+    b = complex_gaussian(rng, shape)
+    g = operator._gram(b)
+    assert g.shape == (shape[1], shape[1])
+    assert np.array_equal(g, g.conj().T)  # exactly, the diagonal real
+    exact = b.conj().T @ b
+    bound = operator._gamma(2 * shape[0] + 2) * (np.abs(b).T @ np.abs(b))
+    assert (np.abs(g - exact) <= bound).all()
+    assert not operator._gram(b.real).imag.any()

@@ -4,6 +4,7 @@ formatted by the one number writer, whether a matrix is Hermitian is decided
 only in ``operator`` and ``controlled`` solves no eigenproblem beside its
 spectral projections, ``opnorm`` runs no Hermitian test and no dense
 eigensolve outside its small-block path and its Lanczos fallback, no module
+imports from ``scipy.linalg.blas`` or ``scipy.linalg.lapack``, no module
 keeps an import it no longer uses, and no private top-level name is left
 unread."""
 
@@ -142,6 +143,13 @@ def reachable(tree, root):
     return {name: defs[name] for name in seen}
 
 
+def scipy_blas_imports(tree):
+    """Line numbers of imports from ``scipy.linalg.blas`` or ``scipy.linalg.lapack``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module in {"scipy.linalg.blas", "scipy.linalg.lapack"}]
+
+
 def unguarded_solves(func, guard):
     """Lines of the eigensolves in ``func`` that are not in the body of an
     ``if`` whose test calls ``guard``."""
@@ -196,6 +204,15 @@ def test_opnorm_solves_only_small_blocks_and_fallbacks():
         "a large block's eigvalsh runs only when the Lanczos value is not certified")
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_direct_scipy_blas(path):
+    # scipy bundles its own OpenBLAS with its own thread pool; calls that
+    # alternate between it and numpy's run several times slower when both
+    # pools have more than one thread
+    assert scipy_blas_imports(tree_of(path)) == [], (
+        "take matrix products and factorisations through numpy")
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -213,6 +230,10 @@ def test_guards_catch_what_they_name():
     tree = ast.parse("import numpy as np\nfrom x import a, b\n"
                      "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
     assert numpy_calls(tree, {"repeat", "tile"}) == [3, 4]
+    imports = ast.parse("from scipy.linalg import eigh_tridiagonal\n"
+                        "from scipy.linalg.blas import zgemv\n"
+                        "from scipy.linalg.lapack import zpotrf\n")
+    assert scipy_blas_imports(imports) == [2, 3]
     assert unused_imports(tree) == [(2, "b")]
     tree = ast.parse('_F = "{:.17g}"\n__all__ = []\n\n\ndef _fmt(x):\n    return _F % x\n\n\n'
                      "def _fmt_complex(z):\n    return _fmt(z.real)\n\n\n"
