@@ -34,8 +34,10 @@ from .geometry import retract_onto_pieces
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
+    amplify_map,
     amplify_scalar_matrix,
     direct_sum,
+    doubled_rotation,
     opnorm,
     point_block_max,
 )
@@ -184,7 +186,7 @@ def ad(cover, op):
     src, tgt = cover.map.source, cover.map.target
     if op.space.total_dim != src.total_dim:
         raise ShapeError("operator does not live over the cover's source")
-    v = np.kron(np.eye(op.amplification), cover.matrix)
+    v = amplify_map(cover.matrix, op.amplification)
     entries = v @ op.entries @ v.conj().T
     return FiniteOperator(tgt, entries, op.amplification, op.scalar)
 
@@ -198,33 +200,17 @@ def ad_doubled(pair_matrix, op):
     return entries, (None if op.scalar is None else op.scalar[0])
 
 
-def _rotation2(theta, halves_dim):
-    c, s = math.cos(theta), math.sin(theta)
-    eye = np.eye(halves_dim)
-    return np.block([[c * eye, s * eye], [-s * eye, c * eye]])
-
-
 def swap_unitary(Vf, Vg):
     """The self-adjoint unitary exchanging the ranges of two covers."""
-    v, w = Vf.matrix, Vg.matrix
+    return _swap(Vf.matrix, Vg.matrix)
+
+
+def _swap(v, w):
+    """``swap_unitary`` of the isometry matrices ``v`` and ``w``."""
     py, qy = v @ v.conj().T, w @ w.conj().T
     eye = np.eye(py.shape[0])
     return np.block([[eye - py, v @ w.conj().T],
                      [w @ v.conj().T, eye - qy]])
-
-
-def _lift_doubled(matrix, k, module_dim):
-    """Lift a (2D, 2D) doubled-module matrix to k inner copies.
-
-    Copy ordering groups the k copies inside each module half, matching the
-    copy-major layout of a 2k-amplification operator.
-    """
-    if k == 1:
-        return matrix
-    D = module_dim
-    eye = np.eye(k)
-    return np.block([[np.kron(eye, matrix[i * D:(i + 1) * D, j * D:(j + 1) * D])
-                      for j in range(2)] for i in range(2)])
 
 
 def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
@@ -252,14 +238,15 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
     tgt = Vf.map.target
     k = p.amplification
     kd = k * tgt.total_dim
-    u_lift = _lift_doubled(swap_unitary(Vf, Vg), k, tgt.total_dim)
+    # 0/1 covers: the swap unitary of the lifted covers is exact
+    u_lift = _swap(amplify_map(Vf.matrix, k), amplify_map(Vg.matrix, k))
     x = block_diag(ad(Vf, p).concrete(), np.zeros((3 * kd, 3 * kd)))
     diag_u_1 = block_diag(u_lift, np.eye(2 * kd))
     diag_1_ustar = block_diag(np.eye(2 * kd), u_lift.conj().T)
 
     def sample(t):
         theta = (1.0 - t) * math.pi / 2
-        rot = _rotation2(theta, 2 * kd)
+        rot = doubled_rotation(np.full(2 * kd, theta))
         u_t = diag_u_1 @ rot @ diag_1_ustar @ rot.conj().T
         out = u_t @ x @ u_t.conj().T
         return FiniteOperator(tgt, (out + out.conj().T) / 2, 4 * k)
@@ -392,19 +379,21 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     w = [ui @ u_last.adjoint() for ui in us]
 
     ident2 = _dsum2(FiniteOperator.identity(tgt, 1, unitized=True))
-    a = direct_sum([_dsum2(wi) for wi in w])
-    b = direct_sum([_dsum2(wi) for wi in w[1:]] + [_dsum2(w[-1])])
-    c_op = direct_sum([_dsum2(w[-1])] + [_dsum2(wi) for wi in w[1:]])
-    base = direct_sum([_dsum2(u_last)] + [ident2] * ell)
+    dw = [_dsum2(wi) for wi in w]
+    dul2 = _dsum2(u_last)
+    base_blocks = [dul2] + [ident2] * ell
+    a = direct_sum(dw)
+    b = direct_sum(dw[1:] + dw[-1:])
+    c_op = direct_sum(dw[-1:] + dw[1:])
+    base = direct_sum(base_blocks)
     a0 = direct_sum([_dsum2(us[0])] + [ident2] * ell)
-    a1 = base
 
     du2 = _dsum2(u)
-    dul2_star = _dsum2(u_last).adjoint()
+    dul2_star = dul2.adjoint()
 
     def pair_cover(i, s):
-        rot_y = _rotation2(math.pi / 2 * s, tgt.total_dim)
-        rot_x = _rotation2(math.pi / 2 * s, u.space.total_dim)
+        rot_y = doubled_rotation(np.full(tgt.total_dim, math.pi / 2 * s))
+        rot_x = doubled_rotation(np.full(u.space.total_dim, math.pi / 2 * s))
         stacked = block_diag(covers[i].matrix, covers[i + 1].matrix)
         return rot_y @ stacked @ rot_x.conj().T
 
@@ -416,7 +405,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
             entries, scal = ad_doubled(pair_cover(i, s), du2)
             parts.append(FiniteOperator(tgt, entries, 2,
                                         None if scal is None else [scal, scal]))
-        parts.append(_dsum2(u_last))
+        parts.append(dul2)
         return [p @ dul2_star for p in parts]
 
     def gamma_cycle(s):
@@ -426,8 +415,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
         rot = amplify_scalar_matrix(tgt, 2 * m, mix)
         return rot @ b @ rot.adjoint()
 
-    ab_blocks = [_dsum2(wi) @ blk_base for wi, blk_base in
-                 zip(w, [_dsum2(u_last)] + [ident2] * ell)]
+    ab_blocks = [dwi @ blk_base for dwi, blk_base in zip(dw, base_blocks)]
     a_base = a @ base
 
     def seg2_sample(t):
@@ -446,7 +434,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     stages = [
         ("opening interpolation", lambda t: (1 - t) * a0 + t * bee),
         ("chain rotation", seg2_sample),
-        ("closing interpolation", lambda t: (1 - t) * aa_base + t * a1),
+        ("closing interpolation", lambda t: (1 - t) * aa_base + t * base),
     ]
     for stage, fn in stages:
         try:

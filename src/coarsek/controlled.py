@@ -186,15 +186,17 @@ def kappa_even(p, eps=None, band_tol=1e-9):
 
 
 def kappa_odd(u):
-    """Exact unitary u (u*u)^{-1/2} from a quasi-unitary."""
-    left, right = unitary_defects(u)
-    if left >= 0.25 or right >= 0.25:
-        raise DomainError(f"unitary defects ({left}, {right}) not below 1/4")
+    """Exact unitary u (u*u)^{-1/2} from a quasi-unitary.
+
+    The eigenvalues of u*u are the squared singular values, shared by uu*,
+    so ``max |lambda - 1| < 1/4`` is the precondition on both unitary
+    defects, and it keeps every eigenvalue above 3/4."""
     m = u.concrete()
     gram = m.conj().T @ m
     lam, q = np.linalg.eigh((gram + gram.conj().T) / 2)
-    if lam[0] <= 1e-12:
-        raise SpectralGapError("u*u is numerically singular")
+    defect = float(np.abs(lam - 1.0).max(initial=0.0))
+    if defect >= 0.25:
+        raise DomainError(f"unitary defect {defect} not below 1/4")
     inv_sqrt = (q / np.sqrt(lam)) @ q.conj().T
     out = m @ inv_sqrt
     if max(unitary_defects(out)) > 1e-12:
@@ -206,7 +208,7 @@ def kappa_odd(u):
 def chi_rank(p):
     """Rank of the spectral projection above 1/2."""
     m = p.concrete() if isinstance(p, FiniteOperator) else np.asarray(p)
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    lam, _ = spectrum((m + m.conj().T) / 2, True)
     return int((lam > 0.5).sum())
 
 

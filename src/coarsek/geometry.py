@@ -133,14 +133,6 @@ class SamplePoint:
         return v
 
 
-def sphere_arc(b1, b2):
-    """Arc distance between two barycentric vectors on a common simplex."""
-    v1 = np.asarray(b1, dtype=float)
-    v2 = np.asarray(b2, dtype=float)
-    ip = float(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-    return math.acos(min(1.0, max(-1.0, ip)))
-
-
 class SampledSpace:
     """A finite metric-measure stand-in for the realization of a complex.
 
@@ -273,11 +265,8 @@ def discretize(complex_, mesh, fiber_dim=1):
 
     members, arcs = [], []
     for s in complex_.maximal_simplices():
-        sset = set(s)
-        idxs = np.array([i for i, p in enumerate(points) if set(p.carrier) <= sset])
-        vecs = np.array([points[i].embed(s) for i in idxs])
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        arc = np.arccos(np.clip(vecs @ vecs.T, -1.0, 1.0))
+        idxs, vecs = _on_simplex(points, s)
+        arc = _arcs(vecs, vecs)
         np.fill_diagonal(arc, 0.0)
         members.append(idxs)
         arcs.append(arc)
@@ -285,6 +274,20 @@ def discretize(complex_, mesh, fiber_dim=1):
     dist = _portal_metric(len(points), members, arcs)
     dims = np.full(len(points), fiber_dim, dtype=int)
     return SampledSpace(points, dist, dims, mesh=mesh)
+
+
+def _on_simplex(points, simplex):
+    """``(ids, vecs)``: the ids of the points on the closed ``simplex`` and,
+    row by row, their unit barycentric vectors on it."""
+    sset = set(simplex)
+    ids = np.array([i for i, p in enumerate(points) if set(p.carrier) <= sset], dtype=int)
+    vecs = np.array([points[i].embed(simplex) for i in ids]).reshape(len(ids), len(simplex))
+    return ids, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def _arcs(u, w):
+    """The arcs ``arccos <u_i, w_j>`` between two stacks of unit vectors."""
+    return np.arccos(np.clip(u @ w.T, -1.0, 1.0))
 
 
 def _compositions(total, parts):
@@ -394,20 +397,17 @@ def center_sample_index(space, complex_, simplex):
 
 
 def center_distances(space, complex_, simplex):
-    """Distance from every sample lying on ``simplex`` to its center.
+    """Distance from every sample lying on ``simplex`` (a simplex of
+    ``complex_``) to its center.
 
-    Exact per-simplex arcs; samples not on the closed simplex get inf.
+    Exact per-simplex arcs, in the arithmetic of ``discretize``'s metric;
+    samples not on the closed simplex get inf.
     """
     s = tuple(sorted(simplex))
-    center = np.full(len(s), 1.0 / len(s))
-    center /= np.linalg.norm(center)
+    ids, vecs = _on_simplex(space.points, s)
+    _, center = _on_simplex([simplex_center(complex_, s)], s)
     out = np.full(len(space), np.inf)
-    sset = set(s)
-    for i, p in enumerate(space.points):
-        if set(p.carrier) <= sset:
-            v = p.embed(s)
-            v /= np.linalg.norm(v)
-            out[i] = math.acos(min(1.0, max(-1.0, float(v @ center))))
+    out[ids] = _arcs(vecs, center)[:, 0]
     return out
 
 
@@ -477,22 +477,13 @@ def _radial_boundary_snap(space, i, simplex, skeleton):
     ray = b - c
     with np.errstate(divide="ignore"):
         ts = np.where(ray < 0, c / -ray, np.inf)
-    t_star = ts.min()
-    boundary = c + t_star * ray
-    boundary = np.clip(boundary, 0.0, None)
-    boundary /= boundary.sum()
-    # nearest skeleton sample on this simplex to the exit point
-    best, best_d = -1, np.inf
-    sset = set(simplex)
-    for j in np.flatnonzero(skeleton):
-        q = space.points[j]
-        if set(q.carrier) <= sset:
-            d = sphere_arc(boundary, q.embed(simplex))
-            if d < best_d - 1e-15 or (abs(d - best_d) <= 1e-15 and j < best):
-                best, best_d = j, d
-    if best < 0:
+    boundary = np.clip(c + ts.min() * ray, 0.0, None)
+    # nearest skeleton sample on this simplex to the exit point, the first of equal arcs
+    ids, vecs = _on_simplex(space.points, simplex)
+    ids, vecs = ids[skeleton[ids]], vecs[skeleton[ids]]
+    if not len(ids):
         raise DomainError("no skeleton sample available on the carrier simplex")
-    return best
+    return int(ids[np.argmin(_arcs(vecs, boundary[None] / np.linalg.norm(boundary))[:, 0])])
 
 
 def cyclic_order(space, complex_):

@@ -34,6 +34,7 @@ from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
     block_abs_max,
+    doubled_rotation,
     lift,
     opnorm,
     restrict,
@@ -184,10 +185,11 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
             rng = next(rngs)
             x = random_banded(space, s, rng, amplification, norm=1.0)
             x1, x2 = coercive_split(x, (p1, p2, p3), tau)
-            nx = opnorm(x)
             worst_recon = max(worst_recon,
                               float(np.abs((x1 + x2 - x).concrete()).max()))
-            scale_split = max(scale_split, opnorm(x1) / nx, opnorm(x2) / nx)
+            # random_banded has scaled x to norm 1 by its own opnorm, so the
+            # split norms are the ratios
+            scale_split = max(scale_split, opnorm(x1), opnorm(x2))
 
             core = random_region_supported(space, sig_masks[1], rng,
                                            amplification, norm=1.0)
@@ -295,13 +297,6 @@ def circle_cut(space, order, width=0.1):
     return CutFunction(vals, band | region0 | region1), region0, region1
 
 
-def _pointwise_rotation(space, amplification, phi):
-    theta = lift(space, amplification, 0.5 * math.pi * phi.values)
-    c = np.diag(np.cos(theta)).astype(complex)
-    s = np.diag(np.sin(theta)).astype(complex)
-    return np.block([[c, s], [-s, c]])
-
-
 def clutching_projection(u, phi):
     """The clutching projection of a quasi-unitary along a cut function.
 
@@ -313,7 +308,7 @@ def clutching_projection(u, phi):
     if phi.values.shape != (len(u.space),):
         raise DomainError("cut function must match the operator's space")
     n = u.dim
-    rot = _pointwise_rotation(u.space, u.amplification, phi)
+    rot = doubled_rotation(lift(u.space, u.amplification, 0.5 * math.pi * phi.values))
     w = rot @ block_diag(u.concrete(), np.eye(n)) @ rot.conj().T
     d10 = block_diag(np.eye(n, dtype=complex), np.zeros((n, n)))
     p = w @ d10 @ w.conj().T

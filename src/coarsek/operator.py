@@ -22,7 +22,9 @@ Only this module spells the layout out: ``coordinates_of`` (the coordinates
 of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
 blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
-part) and ``direct_sum`` (copies side by side).
+part), ``direct_sum`` (copies side by side), ``amplify_map`` (a module map
+on every copy) and ``doubled_rotation`` (the rotation between the two
+halves of a doubled module).
 
 Every norm and defect reads the blocks of one split of the nonzero pattern.
 The defects read ``spectrum``, the block eigenvalues or squared singular
@@ -567,6 +569,20 @@ def direct_sum(ops):
         scalar = np.concatenate([np.zeros(o.amplification, dtype=complex)
                                  if o.scalar is None else o.scalar for o in ops])
     return FiniteOperator._owning(space, block_diag(*(o.entries for o in ops)), k, scalar)
+
+
+def amplify_map(matrix, amplification):
+    """A module map acting on each of ``amplification`` copies: the
+    copy-major block diagonal ``I (x) matrix``."""
+    return np.kron(np.eye(amplification), matrix)
+
+
+def doubled_rotation(angles):
+    """The rotation ``[[C, S], [-S, C]]`` between the two halves of a
+    doubled module, ``C = diag(cos angles)`` and ``S = diag(sin angles)``
+    with one angle per coordinate of a half."""
+    c, s = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+    return np.block([[c, s], [-s, c]])
 
 
 def amplify_scalar_matrix(space, amplification, matrix):

@@ -21,6 +21,7 @@ from coarsek.mv import circle_cut
 from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
 from coarsek.serialize import (
+    dumps_certificate,
     dumps_coarse_map,
     dumps_operator,
     dumps_path,
@@ -150,6 +151,20 @@ class TestBasicCommands:
         from coarsek.serialize import dumps_certificate
         cf = write(tmp_path / "cert.txt", dumps_certificate(cert))
         assert main(["certify-homotopy", sf, cf, "--out", outdir]) == 0
+
+    def test_certify_homotopy_rejects_a_tampered_step_bound(self, tmp_path, outdir,
+                                                            capsys):
+        space = SampledSpace.from_distance_matrix(np.zeros((1, 1)), internal_dims=[2])
+        sf = write(tmp_path / "space.txt", dumps_space(space))
+        p = FiniteOperator(space, np.diag([1.0, 0.0]).astype(complex))
+        q = FiniteOperator(space, np.diag([0.98, 0.0]).astype(complex))
+        cert = interpolation_certificate(p, q, QuasiParams(0.2, 1.0))
+        cert.step_bounds[0] /= 2
+        cf = write(tmp_path / "cert.txt", dumps_certificate(cert))
+        assert main(["certify-homotopy", sf, cf, "--out", outdir]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: certificate rejected")
+        assert "recorded step bound" in out
 
     def test_path_trim(self, tmp_path, outdir, rng):
         d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))

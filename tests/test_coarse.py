@@ -36,7 +36,7 @@ from coarsek.generators import (
 )
 from coarsek.geometry import (SampledSpace, build_complex, discretize,
                               uniform_edge_space)
-from coarsek.operator import FiniteOperator, opnorm, propagation
+from coarsek.operator import FiniteOperator, direct_sum, opnorm, propagation
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,26 @@ class TestSwapAndRotation:
         expect_end[n:2 * n, n:2 * n] = a2
         assert np.allclose(start.concrete(), expect_start, atol=1e-12)
         assert np.allclose(end.concrete(), expect_end, atol=1e-12)
+
+    def test_endpoint_placements_at_amplification_two(self, edge_fine,
+                                                      edge_fat, rng):
+        # the swap unitary acts on each of the two copies of each half
+        f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
+        v1 = delta_cover(f, 0.25)
+        v2 = delta_cover(f, 0.25, bias="pack-high")
+        params = QuasiParams(0.1, 0.3)
+        p = direct_sum([random_quasi_projection(edge_fine, params, rng)[0]
+                        for _ in range(2)])
+        cert = rotation_homotopy(v1, v2, p, params)
+        ok, rep = verify_certificate(cert)
+        assert ok, rep["failures"]
+        start, end = cert.endpoints()
+        zeros = [FiniteOperator.zeros(edge_fat, k) for k in (2, 4, 6)]
+        expect_start = direct_sum([ad(v1, p), zeros[2]])
+        expect_end = direct_sum([zeros[0], ad(v2, p), zeros[1]])
+        assert start.amplification == end.amplification == 8
+        assert np.allclose(start.concrete(), expect_start.concrete(), atol=1e-12)
+        assert np.allclose(end.concrete(), expect_end.concrete(), atol=1e-12)
 
     def test_samples_respect_r_plus_8delta(self, edge_fine, edge_fat):
         f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))

@@ -204,6 +204,14 @@ class TestKappa:
         u = 1.1 * FiniteOperator.identity(pt2, unitized=False)
         assert np.allclose(kappa_odd(u).concrete(), np.eye(2))
 
+    @pytest.mark.parametrize("diag", [[0.8, 0.8], [1.0, 1.2], [0.5, 1.0]])
+    def test_kappa_odd_rejects_a_quarter_defect(self, pt2, diag):
+        # |sigma^2 - 1| = 0.36, 0.44 and 0.75
+        u = diag_op(pt2, diag)
+        assert max(unitary_defects(u)) >= 0.25
+        with pytest.raises(DomainError, match="not below 1/4"):
+            kappa_odd(u)
+
     def test_kappa_odd_distance_bound(self, pt2, rng):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         q, _ = np.linalg.qr(z)
@@ -382,6 +390,32 @@ class TestCertificates:
         if not trimmed:
             assert cert.step_bounds == [opnorm(b - a)
                                         for a, b in zip(path, path[1:])]
+
+    def test_halved_step_bound_is_caught(self, pt2):
+        p = diag_op(pt2, [1.0, 0.0])
+        b = FiniteOperator(pt2, p.entries + np.diag([0.01, -0.003]))
+        cert = interpolation_certificate(p, b, QuasiParams(0.1, 1.0))
+        half = HomotopyCertificate("even", cert.samples, cert.params,
+                                   [cert.step_bounds[0] / 2])
+        ok, rep = verify_certificate(half)
+        assert not ok
+        assert [(i, msg.split(" ")[:3]) for i, msg in rep["failures"]] == [
+            (0, ["recorded", "step", "bound"])]
+        assert "below actual" in rep["failures"][0][1]
+
+    def test_step_across_the_band_is_caught(self, rng):
+        # p and 1 - p are both quasi-projections, ||2p - 1|| is about 1
+        s = SampledSpace.from_distance_matrix(np.zeros((1, 1)), internal_dims=[6])
+        params = QuasiParams(0.1, 1.0)
+        p, _ = random_quasi_projection(s, params, rng, rank=3)
+        q = FiniteOperator.identity(s, unitized=False) - p
+        assert is_quasi_projection(p, params)[0] and is_quasi_projection(q, params)[0]
+        steps = step_norms([p, q])
+        assert abs(steps[0] - 1) < 0.1
+        ok, rep = verify_certificate(HomotopyCertificate("even", [p, q], params, steps))
+        assert not ok
+        assert [(i, msg.split(" by ")[0]) for i, msg in rep["failures"]] == [
+            (0, "step margin violated")]
 
     def test_rank_constant_along_certificate(self, pt2):
         p = diag_op(pt2, [1.0, 0.0])

@@ -1,8 +1,8 @@
 """Source guards: the copy-major layout is spelled out only in ``operator``
 (and ``geometry``, which defines ``point_of_coord``), every float is
 formatted by the one number writer, whether a matrix is Hermitian is decided
-only in ``operator`` and ``controlled`` solves no eigenproblem beside its
-spectral projections, ``opnorm`` runs no Hermitian test and no dense
+only in ``operator`` and ``controlled`` solves a whole-matrix eigenproblem
+only where it needs eigenvectors (``kappa_even``, ``kappa_odd``), ``opnorm`` runs no Hermitian test and no dense
 eigensolve outside its small-block path and its Lanczos fallback, no module
 imports from ``scipy.linalg.blas`` or ``scipy.linalg.lapack``, no module
 keeps an import it no longer uses, and no private top-level name is left
@@ -189,8 +189,8 @@ def test_hermitian_test_only_in_operator():
 
 def test_controlled_solves_only_spectral_projections():
     names = {name for _, name in eigen_solves(tree_of(SRC / "controlled.py"))}
-    assert names == {"chi_rank", "kappa_even", "kappa_odd"}, (
-        "read norms and defects off operator.spectrum")
+    assert names == {"kappa_even", "kappa_odd"}, (
+        "read norms, defects and ranks off operator.spectrum")
 
 
 def test_opnorm_solves_only_small_blocks_and_fallbacks():
