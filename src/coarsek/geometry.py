@@ -449,6 +449,7 @@ def retract_onto_pieces(space, complex_, mask, kind):
     cdists = {s: center_distances(space, complex_, s) for s in tops}
     centers = {s: center_sample_index(space, complex_, s) for s in tops}
     skeleton = np.array([p.dim < n for p in space.points])
+    rims = {}  # per top simplex: the ids and unit vectors of its skeleton samples
 
     out = np.full(len(space), -1, dtype=int)
     for i in np.flatnonzero(mask):
@@ -463,14 +464,18 @@ def retract_onto_pieces(space, complex_, mask, kind):
         if p.dim < n:
             out[i] = i
             continue
-        out[i] = _radial_boundary_snap(space, i, home, skeleton)
+        if home not in rims:
+            ids, vecs = _on_simplex(space.points, home)
+            rims[home] = ids[skeleton[ids]], vecs[skeleton[ids]]
+        out[i] = _radial_boundary_snap(p.embed(home), *rims[home])
     return out
 
 
-def _radial_boundary_snap(space, i, simplex, skeleton):
-    p = space.points[i]
-    b = p.embed(simplex)
-    k = len(simplex)
+def _radial_boundary_snap(b, ids, vecs):
+    """The first of the samples ``ids``, with unit barycentric vectors
+    ``vecs``, at the least arc from where the ray from the simplex center
+    through ``b`` leaves the simplex."""
+    k = len(b)
     c = np.full(k, 1.0 / k)
     if np.allclose(b, c, atol=1e-12):
         raise DomainError("center sample has no radial direction")
@@ -478,9 +483,6 @@ def _radial_boundary_snap(space, i, simplex, skeleton):
     with np.errstate(divide="ignore"):
         ts = np.where(ray < 0, c / -ray, np.inf)
     boundary = np.clip(c + ts.min() * ray, 0.0, None)
-    # nearest skeleton sample on this simplex to the exit point, the first of equal arcs
-    ids, vecs = _on_simplex(space.points, simplex)
-    ids, vecs = ids[skeleton[ids]], vecs[skeleton[ids]]
     if not len(ids):
         raise DomainError("no skeleton sample available on the carrier simplex")
     return int(ids[np.argmin(_arcs(vecs, boundary[None] / np.linalg.norm(boundary))[:, 0])])

@@ -48,6 +48,19 @@ def edge_coord_pair(point):
     return point.coords
 
 
+def pairwise_arc(b1, b2):
+    # the one-pair-at-a-time reference for geometry's vectorised arc kernel
+    v1, v2 = np.asarray(b1, float), np.asarray(b2, float)
+    ip = float(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
+    return math.acos(min(1.0, max(-1.0, ip)))
+
+
+# near arc 0, arccos turns an inner product a few roundings off into an
+# arc error of about sqrt(eps)
+ARC_TOL = 1e-7
+ARC_CASES = [([(0, 1, 2)], 0.2), ([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], 0.3)]
+
+
 class TestBuildComplex:
     def test_two_edges(self):
         x = build_complex([(0, 1), (1, 2)])
@@ -189,6 +202,20 @@ class TestDecompose:
                 band |= np.isfinite(d) & (d >= 0.45) & (d <= 0.55)
             assert ((x1 & x2) == band).all()
 
+    @pytest.mark.parametrize("maximal, mesh", ARC_CASES)
+    def test_center_distances_match_the_pairwise_arc(self, maximal, mesh):
+        x = build_complex(maximal)
+        s = discretize(x, mesh)
+        for top in x.top_simplices():
+            center = np.full(len(top), 1 / len(top))
+            ref = np.array([pairwise_arc(p.embed(top), center)
+                            if set(p.carrier) <= set(top) else np.inf
+                            for p in s.points])
+            d = center_distances(s, x, top)
+            on = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(d), on)
+            assert np.allclose(d[on], ref[on], rtol=0, atol=ARC_TOL)
+
     def test_vertices_land_in_x2(self):
         # center-to-vertex distances: arccos(1/sqrt(2)) and arccos(1/sqrt(3))
         assert math.acos(1 / math.sqrt(2)) == pytest.approx(0.7853981633974484)
@@ -262,6 +289,26 @@ class TestRetract:
         vertex1 = next(i for i, p in enumerate(edge_space.points)
                        if p.carrier == (1,))
         assert table[idx] == vertex1
+
+    @pytest.mark.parametrize("maximal, mesh", ARC_CASES)
+    def test_collapse_snaps_to_a_nearest_skeleton_sample(self, maximal, mesh):
+        x = build_complex(maximal)
+        s = discretize(x, mesh)
+        tops = x.top_simplices()
+        mask = np.array([p.dim == x.dimension for p in s.points])
+        for top in tops:
+            mask[center_sample_index(s, x, top)] = False
+        table = retract_onto_pieces(s, x, mask, "collapse-to-skeleton")
+        for i in np.flatnonzero(mask):
+            home = min(tops, key=lambda t: (center_distances(s, x, t)[i], t))
+            b, c = s.points[i].embed(home), np.full(len(home), 1 / len(home))
+            ray = b - c
+            exit_point = c + min(-c[ray < 0] / ray[ray < 0]) * ray
+            arcs = {j: pairwise_arc(exit_point, q.embed(home))
+                    for j, q in enumerate(s.points)
+                    if q.dim < x.dimension and set(q.carrier) <= set(home)}
+            assert table[i] in arcs
+            assert arcs[table[i]] <= min(arcs.values()) + ARC_TOL
 
     def test_outside_mask_untouched(self, edge_complex, edge_space):
         mask = np.zeros(len(edge_space), dtype=bool)
