@@ -30,7 +30,6 @@ from .controlled import (
     witness_defect,
 )
 from .errors import CapacityError, CertificateError, DomainError, ShapeError
-from .geometry import retract_onto_pieces
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
@@ -89,18 +88,6 @@ def expansion_function(f, r):
     return float(dtgt[close].max())
 
 
-def retraction_coarse_map(space, complex_, mask, kind):
-    """Package a piece retraction as a coarse map from the masked subspace.
-
-    Returns (map, indices): the map sends the subspace of masked samples
-    into the full space along the retraction table, and its measured
-    Lipschitz constant is the empirical uniform constant of that piece.
-    """
-    table = retract_onto_pieces(space, complex_, mask, kind)
-    sub, idx = space.subspace(mask)
-    return CoarseMap(sub, space, table[idx]), idx
-
-
 @dataclass
 class CoverIsometry:
     """An isometry of modules supported delta-near the graph of a map."""
@@ -127,9 +114,6 @@ class CoverIsometry:
         held = point_block_max(np.abs(self.matrix), tgt, src) > tau
         near = tgt.dist[:, self.map.assignment] < self.delta
         return [(int(y), int(x)) for y, x in np.argwhere(held & ~near)]
-
-    def range_projection(self):
-        return self.matrix @ self.matrix.conj().T
 
 
 def delta_cover(f, delta, bias="nearest"):
@@ -200,13 +184,8 @@ def ad_doubled(pair_matrix, op):
     return entries, (None if op.scalar is None else op.scalar[0])
 
 
-def swap_unitary(Vf, Vg):
-    """The self-adjoint unitary exchanging the ranges of two covers."""
-    return _swap(Vf.matrix, Vg.matrix)
-
-
-def _swap(v, w):
-    """``swap_unitary`` of the isometry matrices ``v`` and ``w``."""
+def swap_unitary(v, w):
+    """The self-adjoint unitary exchanging the ranges of isometries v and w."""
     py, qy = v @ v.conj().T, w @ w.conj().T
     eye = np.eye(py.shape[0])
     return np.block([[eye - py, v @ w.conj().T],
@@ -239,7 +218,7 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
     k = p.amplification
     kd = k * tgt.total_dim
     # 0/1 covers: the swap unitary of the lifted covers is exact
-    u_lift = _swap(amplify_map(Vf.matrix, k), amplify_map(Vg.matrix, k))
+    u_lift = swap_unitary(amplify_map(Vf.matrix, k), amplify_map(Vg.matrix, k))
     x = block_diag(ad(Vf, p).concrete(), np.zeros((3 * kd, 3 * kd)))
     diag_u_1 = block_diag(u_lift, np.eye(2 * kd))
     diag_1_ustar = block_diag(np.eye(2 * kd), u_lift.conj().T)

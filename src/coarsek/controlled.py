@@ -10,9 +10,8 @@ The quasi-test (``is_quasi``) is the certificate rule on the one-sample
 path at the element, so ``judge_certificate`` alone states it.
 ``judge_certificate`` admits a step of size d between samples of defects
 e0, e1 when max(e0, e1) + d^2/4 stays within eps (an exact identity); only
-``perturb_bound``, the first check of ``interpolation_certificate`` and
-``paths.interpolated_params`` (eps + 5 * modulus) use the coarser
-||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
+``perturb_bound`` and the first check of ``interpolation_certificate`` use
+the coarser ||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
 measured once; ``verify_certificate`` re-measures, for loaded certificates."""
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class QuasiParams:
         if self.r <= 0:
             raise DomainError("r must be positive")
 
-    def scaled(self, eps_factor=1.0, r_factor=1.0):
-        return QuasiParams(self.eps * eps_factor, self.r * r_factor)
-
 
 def projection_defect(op, herm=None):
     """||p^2 - p||: max |lambda^2 - lambda| over the block eigenvalues of a
@@ -68,9 +64,15 @@ def projection_defect(op, herm=None):
     if herm is None:
         herm = hermitian_gap(m)[1]
     if herm:
-        lam, _ = spectrum(m, True)
-        return float(np.abs(lam * lam - lam).max(initial=0.0))
+        return defect_and_rank(m)[0]
     return opnorm(m @ m - m)
+
+
+def defect_and_rank(m):
+    """(||m^2 - m||, rank of the spectral projection above 1/2) of a
+    Hermitian matrix, both read off one ``spectrum``."""
+    lam, _ = spectrum(m, True)
+    return float(np.abs(lam * lam - lam).max(initial=0.0)), int((lam > 0.5).sum())
 
 
 def unitary_defects(op):
@@ -208,8 +210,7 @@ def kappa_odd(u):
 def chi_rank(p):
     """Rank of the spectral projection above 1/2."""
     m = p.concrete() if isinstance(p, FiniteOperator) else np.asarray(p)
-    lam, _ = spectrum((m + m.conj().T) / 2, True)
-    return int((lam > 0.5).sum())
+    return defect_and_rank((m + m.conj().T) / 2)[1]
 
 
 def scalar_rank(op):
@@ -279,10 +280,10 @@ def k0_points(p, params, tau=DEFAULT_TAU, ell=None):
     for j in range(n):
         coords = coordinates_of(space, p.amplification, [j])
         block = m[np.ix_(coords, coords)]
-        block = (block + block.conj().T) / 2
-        if projection_defect(block) >= 0.25:
+        defect, rank = defect_and_rank((block + block.conj().T) / 2)
+        if defect >= 0.25:
             raise SpectralGapError(f"block at point {j} has no spectral gap")
-        classes[j] = chi_rank(block) - ell * int(space.internal_dims[j])
+        classes[j] = rank - ell * int(space.internal_dims[j])
     return classes
 
 
@@ -447,14 +448,6 @@ def verify_certificate(cert, tau=DEFAULT_TAU):
 def certificate_rank_profile(cert):
     """chi-rank at every sample; constant along any verified even certificate."""
     return [chi_rank(s) for s in cert.samples]
-
-
-def equivalence_level(parity, params):
-    """The ambient level at which representatives of a class are compared:
-    even classes at their own (eps, r), odd ones at (3 eps, 2 r)."""
-    if parity == "even":
-        return params
-    return QuasiParams(3 * params.eps, 2 * params.r)
 
 
 # -- control pairs ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .controlled import chi_rank, projection_defect, unitary_defects
+from .controlled import defect_and_rank, unitary_defects
 from .errors import DomainError
 from .operator import FiniteOperator, coordinates_of, lift, opnorm
 
@@ -101,9 +101,9 @@ def random_quasi_projection(space, params, rng, amplification=1, rank=None):
         m = (v * d) @ v.conj().T
         m = m * mask
         m = (m + m.conj().T) / 2
-        p = FiniteOperator(space, m, amplification)
-        if projection_defect(p) < 0.9 * params.eps and chi_rank(p) == rank:
-            return p, rank
+        defect, found = defect_and_rank(m)
+        if defect < 0.9 * params.eps and found == rank:
+            return FiniteOperator(space, m, amplification), rank
         noise_level /= 2
     raise DomainError("could not reach the requested quasi-projection level; "
                       "band too tight for this space")

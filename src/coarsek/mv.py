@@ -29,7 +29,7 @@ from scipy.linalg import block_diag
 from .controlled import kappa_even
 from .errors import DomainError, PropagationError, VerificationFailure
 from .generators import random_banded, random_region_supported, trial_rngs
-from .geometry import center_distances, decompose, neighborhood
+from .geometry import decompose, neighborhood
 from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
@@ -245,18 +245,6 @@ class CutFunction:
         ramp = (self.values > 0) & (self.values < 1)
         if (ramp & ~self.band).any():
             raise DomainError("cut ramp escapes the declared band")
-
-
-def cut_from_decomposition(space, complex_):
-    """Cut function from the normalized center distance: 1 on the deep inner
-    piece, 0 on the deep outer piece, linear across the [0.45, 0.55] band."""
-    dmin = np.full(len(space), np.inf)
-    for s in complex_.top_simplices():
-        dmin = np.minimum(dmin, center_distances(space, complex_, s))
-    vals = np.clip((0.55 - dmin) / 0.1, 0.0, 1.0)
-    vals[~np.isfinite(dmin)] = 0.0
-    band = (dmin >= 0.45) & (dmin <= 0.55)
-    return CutFunction(vals, band)
 
 
 def arc_positions(space, order):

@@ -5,10 +5,6 @@ horizon, together with its uniform-continuity modulus (the largest
 consecutive norm gap).  The asymptotic condition "propagation tends to 0"
 becomes: propagation drops below the requested bound by some sampled time
 and stays there through the horizon.
-
-Quasi-element checks in path contexts run at the stricter eps < 1/8 gate
-(the doubled level 2 eps must itself stay a valid control level); reports
-record which bound gated each check.
 """
 
 from __future__ import annotations
@@ -17,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlled import QuasiParams, is_quasi, step_norms
+from .controlled import step_norms
 from .errors import DomainError, NoDecayError
 from .operator import DEFAULT_TAU, propagation
-
-PATH_EPS_GATE = 1 / 8
 
 
 @dataclass
@@ -99,30 +93,3 @@ def evaluate(path, t, interpolate=False):
     lam = (t - t0) / (t1 - t0)
     return (1 - lam) * path.values[j - 1] + lam * path.values[j]
 
-
-def check_path_quasi(path, params, parity="even", tau=DEFAULT_TAU):
-    """Per-sample quasi-test with the stricter path-context eps gate.
-
-    Returns (verdict, report); the report records whether the 1/8 path gate
-    or the generic 1/4 level bound was the binding constraint.
-    """
-    if params.eps >= PATH_EPS_GATE:
-        raise DomainError(
-            f"path contexts require eps < {PATH_EPS_GATE}; got {params.eps}")
-    gate = "1/8" if params.eps >= PATH_EPS_GATE / 2 else "1/4"
-    samples = []
-    for t, v in zip(path.times, path.values):
-        good, wit = is_quasi(v, parity, params, tau)
-        samples.append({"time": float(t), "ok": good, **wit})
-    return all(s["ok"] for s in samples), {
-        "parity": parity, "eps_gate": gate, "modulus": path.modulus,
-        "samples": samples}
-
-
-def interpolated_params(path, params):
-    """Control level valid for every linear interpolant of the path, via the
-    perturbation bound applied to each step."""
-    bound = params.eps + 5 * path.modulus
-    if bound >= 0.25:
-        raise DomainError("modulus too large; interpolants leave the regime")
-    return QuasiParams(bound, params.r)

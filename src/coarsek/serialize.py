@@ -1,5 +1,5 @@
-"""Deterministic text formats for complexes, spaces, operators, class
-representatives, certificates, coarse maps, paths, and reports.
+"""Deterministic text formats for complexes, spaces, operators,
+certificates, coarse maps, paths, and reports.
 
 Floats are written with 17 significant digits so every round trip is exact;
 infinite distances appear as the literal token ``inf``.  Files are written
@@ -23,8 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-from .coarse import CoarseMap, LipschitzHomotopy
-from .controlled import HomotopyCertificate, KClassRep, QuasiParams
+from .coarse import CoarseMap
+from .controlled import HomotopyCertificate, QuasiParams
 from .errors import MalformedInputError
 from .geometry import SamplePoint, SampledSpace, build_complex
 from .operator import FiniteOperator
@@ -158,11 +158,6 @@ def _count(text):
 # -- complexes ---------------------------------------------------------------
 
 
-def dumps_complex(complex_):
-    lines = [" ".join(str(v) for v in s) for s in complex_.maximal_simplices()]
-    return "\n".join(lines) + "\n"
-
-
 def loads_complex(text):
     """One maximal simplex per line, whitespace-separated vertex ids."""
     rd = _Reader(text)
@@ -273,28 +268,7 @@ def _parse_operator(rd, space):
     return FiniteOperator(space, entries, k, scalar)
 
 
-# -- class representatives and certificates ----------------------------------
-
-
-def dumps_kclass(rep):
-    head = ["coarsek-kclass v1",
-            f"parity: {rep.parity}",
-            f"epsilon: {_line(rep.params.eps)}",
-            f"r: {_line(rep.params.r)}",
-            f"ell: {rep.ell}",
-            "operator:"]
-    return "\n".join(head) + "\n" + dumps_operator(rep.rep)
-
-
-def loads_kclass(text, space):
-    with _Reader(text) as rd:
-        rd.tag("coarsek-kclass v1")
-        parity = rd.field("parity")
-        eps, r = rd.field("epsilon", float), rd.field("r", float)
-        ell = rd.field("ell", int)
-        rd.tag("operator:")
-        op = _parse_operator(rd, space)
-    return KClassRep(parity, op, QuasiParams(eps, r), ell)
+# -- certificates ------------------------------------------------------------
 
 
 def dumps_certificate(cert):
@@ -333,41 +307,18 @@ def dumps_coarse_map(f):
 
 def loads_coarse_map(text, source, target):
     with _Reader(text) as rd:
-        return _parse_coarse_map(rd, source, target)
-
-
-def _parse_coarse_map(rd, source, target):
-    rd.tag("coarsek-map v1")
-    for label, space in (("source", source), ("target", target)):
-        if rd.field(label) != space_hash(space):
-            raise rd.error(f"{label} space hash mismatch")
-    n = rd.field("points", _count)
-    assignment = []
-    for i in range(n):
-        row, image = rd.numbers(int, 2).tolist()
-        if row != i:
-            raise rd.error(f"row id {row}, expected {i}")
-        assignment.append(image)
+        rd.tag("coarsek-map v1")
+        for label, space in (("source", source), ("target", target)):
+            if rd.field(label) != space_hash(space):
+                raise rd.error(f"{label} space hash mismatch")
+        n = rd.field("points", _count)
+        assignment = []
+        for i in range(n):
+            row, image = rd.numbers(int, 2).tolist()
+            if row != i:
+                raise rd.error(f"row id {row}, expected {i}")
+            assignment.append(image)
     return CoarseMap(source, target, assignment)
-
-
-def dumps_homotopy(hom):
-    out = ["coarsek-homotopy v1",
-           f"lipschitz: {_line(hom.lipschitz_bound)}",
-           f"displacements: {_line(hom.displacement_table)}",
-           f"frames: {len(hom.frames)}",
-           *_records("frame", hom.frames, dumps_coarse_map)]
-    return "\n".join(out) + "\n"
-
-
-def loads_homotopy(text, source, target):
-    with _Reader(text) as rd:
-        rd.tag("coarsek-homotopy v1")
-        lipschitz = rd.field("lipschitz", float)
-        rd.field("displacements", _numbers)  # recomputed from the frames
-        count = rd.field("frames", _count)
-        frames = rd.records("frame", count, _parse_coarse_map, source, target)
-    return LipschitzHomotopy(frames, lipschitz_bound=lipschitz)
 
 
 def dumps_path(path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsek import controlled
 from coarsek.controlled import (
     HERM_TOL,
     ControlPair,
@@ -57,6 +58,7 @@ from coarsek.operator import (
     herm_defect,
     opnorm,
     propagation,
+    spectrum,
 )
 
 
@@ -244,6 +246,16 @@ class TestK0Points:
         p = random_blockdiag_quasi_projection(fat5, rng, ranks, noise=0.02)
         got = k0_points(p, QuasiParams(0.15, 0.5))
         assert (got == ranks).all()
+
+    def test_one_spectrum_per_point_block(self, fat5, rng, monkeypatch):
+        # a block's defect and rank come off one eigensolve
+        p = random_blockdiag_quasi_projection(fat5, rng, [1, 2, 0, 1, 3])
+        sizes = []
+        monkeypatch.setattr(controlled, "spectrum",
+                            lambda m, herm: sizes.append(len(m)) or spectrum(m, herm))
+        k0_points(p, QuasiParams(0.15, 0.5))
+        blocks = sorted(size for size in sizes if size < p.dim)
+        assert blocks == sorted(fat5.internal_dims)
 
     def test_off_diagonal_rejected(self, pts5):
         m = np.zeros((5, 5), complex)
@@ -484,7 +496,7 @@ class TestControlPairs:
             q = QuasiParams(eps, 1.0)
             lhs = apply_control_pair(comp, q)
             step = apply_control_pair(b, q)
-            rhs = apply_control_pair(a, step.scaled())
+            rhs = apply_control_pair(a, step)
             assert lhs.eps == pytest.approx(rhs.eps, rel=1e-12)
             assert lhs.r == pytest.approx(rhs.r, rel=1e-12)
 
@@ -528,15 +540,6 @@ class TestControlPairs:
         expect_r = h(1.2 * 0.01) * k(0.01) / k(1.5 * 0.01) * 2.0
         assert out.eps == pytest.approx(0.015)
         assert out.r == pytest.approx(expect_r, rel=1e-9)
-
-
-def test_equivalence_level_convention():
-    from coarsek.controlled import equivalence_level
-    q = QuasiParams(0.05, 1.5)
-    assert equivalence_level("even", q) == q
-    odd = equivalence_level("odd", q)
-    assert odd.eps == pytest.approx(0.15)
-    assert odd.r == pytest.approx(3.0)
 
 
 def test_random_quasi_unitary_meets_declared_level():

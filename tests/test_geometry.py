@@ -256,6 +256,8 @@ class TestRetract:
                                     "cluster-to-centers")
         c = center_sample_index(edge_space, edge_complex, (0, 1))
         assert table[c] == c
+        # clustering lands on the center of the one edge
+        assert (table[mask] == c).all()
 
     def test_cluster_displacement_bound(self, edge_complex, edge_space):
         x1, _ = decompose(edge_space, edge_complex)

@@ -5,17 +5,30 @@ only in ``operator`` and ``controlled`` solves a whole-matrix eigenproblem
 only where it needs eigenvectors (``kappa_even``, ``kappa_odd``), ``opnorm`` runs no Hermitian test and no dense
 eigensolve outside its small-block path and its Lanczos fallback, no module
 imports from ``scipy.linalg.blas`` or ``scipy.linalg.lapack``, no module
-keeps an import it no longer uses, and no private top-level name is left
-unread."""
+keeps an import it no longer uses, no private top-level name is left
+unread, and no public function, class or method is reached only by tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coarsek"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coarsek"
 MODULES = sorted(SRC.glob("*.py"))
 LAYOUT_MODULES = {"operator.py", "geometry.py"}
+# the library, the demos and the benchmark: every reader that is not a test
+READERS = MODULES + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+# public names that only tests read, each kept for the reason given
+TEST_ONLY = {
+    "spectral_band_radius": "acceptance criterion 1 reads it",
+    "certificate_rank_profile": "acceptance criterion 4 reads it",
+    "HomotopyCertificate.endpoints": "acceptance criterion 4 reads it",
+    "random_quasi_unitary": "odd-parity test data",
+    "fiber_projection": "the dense oracle for compress",
+    "SampledSpace.validate": "the metric-axiom oracle on discretize output",
+    "ControlPair.constant": "the fixture builder of the control-pair tests",
+}
 
 
 def tree_of(path):
@@ -57,6 +70,20 @@ def private_definitions(tree):
                          for name in ast.walk(target) if isinstance(name, ast.Name))
     return [(line, name) for line, name in found
             if name.startswith("_") and not name.startswith("__")]
+
+
+def public_definitions(tree):
+    """(line, name) of each top-level public function or class and of each
+    public method, named ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
+                         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(line, name) for line, name in found
+            if not name.rpartition(".")[2].startswith("_")]
 
 
 def names_read(trees):
@@ -226,6 +253,18 @@ def test_no_unread_private_names():
     assert unread == [], "private names that nothing in src/ reads"
 
 
+def test_no_public_name_only_tests_reach():
+    read = names_read(tree_of(path) for path in READERS)
+    unread = [(f"{path.name}:{line}", name) for path in MODULES
+              for line, name in public_definitions(tree_of(path))
+              if name.rpartition(".")[2] not in read]
+    stray = [f"{at} {name}" for at, name in unread if name not in TEST_ONLY]
+    assert stray == [], ("public names that no library function, demo or benchmark "
+                         f"reads; delete them, or say in TEST_ONLY why they stay: {stray}")
+    assert sorted(name for _, name in unread if name in TEST_ONLY) == sorted(TEST_ONLY), (
+        "TEST_ONLY names a definition that is gone or now read outside tests")
+
+
 def test_guards_catch_what_they_name():
     tree = ast.parse("import numpy as np\nfrom x import a, b\n"
                      "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
@@ -242,6 +281,12 @@ def test_guards_catch_what_they_name():
                                          (13, "_Cursor")]
     assert {"_F", "_fmt", "_Cursor"} <= names_read([tree])
     assert "_fmt_complex" not in names_read([tree])
+    tree = ast.parse("class Cell:\n    def grow(self):\n        pass\n\n"
+                     "    def _tidy(self):\n        pass\n\n\n"
+                     "def seed():\n    return Cell().grow\n\n\ndef _hidden():\n    pass\n")
+    assert public_definitions(tree) == [(1, "Cell"), (2, "Cell.grow"), (9, "seed")]
+    assert {"Cell", "grow"} <= names_read([tree])
+    assert "seed" not in names_read([tree])
     tree = ast.parse('"""Writes ``%.17g``."""\n\n\ndef _tokens(v):\n    """As %.17g."""\n'
                      '    return "%.17g" % v\n\n\ndef dumps(x):\n'
                      '    return f"{x:.17g}," + "%.17g" % x\n')

@@ -25,7 +25,6 @@ from coarsek.mv import (
     circle_cut,
     clutching_projection,
     coercive_split,
-    cut_from_decomposition,
     local_index,
     neighborhood_containment,
     split_masks,
@@ -219,17 +218,6 @@ class TestCutFunctions:
     def test_values_outside_the_unit_interval(self, values):
         with pytest.raises(DomainError, match=r"cut values must lie in \[0, 1\]"):
             CutFunction(np.array(values))
-
-    def test_decomposition_cut(self, circle_fine):
-        cx, space, _ = circle_fine
-        phi = cut_from_decomposition(space, cx)
-        x1, x2 = decompose(space, cx)
-        deep1 = x1 & ~x2
-        deep2 = x2 & ~x1
-        assert (phi.values[deep1] == 1.0).all()
-        assert (phi.values[deep2] == 0.0).all()
-        ramp = (phi.values > 0) & (phi.values < 1)
-        assert (ramp <= (x1 & x2)).all()
 
     def test_circle_cut_plateaus(self, circle32):
         _, space, order = circle32

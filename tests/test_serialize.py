@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsek import serialize
-from coarsek.coarse import CoarseMap, LipschitzHomotopy
+from coarsek.coarse import CoarseMap
 from coarsek.controlled import (
     HomotopyCertificate,
-    KClassRep,
     QuasiParams,
     interpolation_certificate,
 )
 from coarsek.errors import CoarsekError, MalformedInputError
-from coarsek.generators import random_banded, random_blockdiag_quasi_projection
+from coarsek.generators import random_banded
 from coarsek.geometry import SampledSpace, build_complex, discretize
 from coarsek.operator import FiniteOperator
 from coarsek.paths import PathOperator
@@ -25,9 +24,6 @@ from coarsek.serialize import (
     _tokens,
     dumps_certificate,
     dumps_coarse_map,
-    dumps_complex,
-    dumps_homotopy,
-    dumps_kclass,
     dumps_merged_report,
     dumps_operator,
     dumps_path,
@@ -36,8 +32,6 @@ from coarsek.serialize import (
     loads_certificate,
     loads_coarse_map,
     loads_complex,
-    loads_homotopy,
-    loads_kclass,
     loads_numbers,
     loads_operator,
     loads_path,
@@ -55,7 +49,7 @@ def space():
 class TestComplexFile:
     def test_round_trip(self):
         cx = build_complex([(0, 1, 2), (2, 3)])
-        again = loads_complex(dumps_complex(cx))
+        again = loads_complex("2 3\n0 1 2\n")
         assert again.simplices == cx.simplices
 
     def test_comments_and_blanks(self):
@@ -124,18 +118,6 @@ class TestOperatorFile:
 
 
 class TestContainers:
-    def test_kclass_round_trip(self, rng):
-        d = np.full((3, 3), 2.0)
-        np.fill_diagonal(d, 0.0)
-        from coarsek.geometry import SampledSpace
-        s = SampledSpace.from_distance_matrix(d)
-        p = random_blockdiag_quasi_projection(s, rng, [1, 0, 1])
-        rep = KClassRep("even", p.with_scalar(0.0), QuasiParams(0.1, 0.5), 0)
-        again = loads_kclass(dumps_kclass(rep), s)
-        assert again.parity == "even"
-        assert again.ell == 0
-        assert np.array_equal(again.rep.entries, rep.rep.entries)
-
     def test_certificate_round_trip(self, space):
         from coarsek.operator import FiniteOperator
         n = space.total_dim
@@ -180,20 +162,6 @@ class TestReports:
         assert fields == {"a": "1"} and table == []
 
 
-def test_homotopy_round_trip(space):
-    from coarsek.coarse import LipschitzHomotopy
-    from coarsek.serialize import dumps_homotopy, loads_homotopy
-    frames = [CoarseMap.identity(space),
-              CoarseMap(space, space, np.roll(np.arange(len(space)), 1))]
-    hom = LipschitzHomotopy(frames, lipschitz_bound=3.0)
-    text = dumps_homotopy(hom)
-    again = loads_homotopy(text, space, space)
-    assert again.lipschitz_bound == 3.0
-    assert len(again.frames) == 2
-    assert (again.frames[1].assignment == frames[1].assignment).all()
-    assert again.displacement_table == hom.displacement_table
-
-
 # -- strict readers ------------------------------------------------------------
 
 
@@ -215,31 +183,23 @@ def _valid_files():
     path = PathOperator([1.0, 2.0], [random_banded(space, 1.5, rng),
                                      random_banded(space, 0.5, rng)])
     shifted = CoarseMap(space, space, [2, 0, 1])
-    hom = LipschitzHomotopy([CoarseMap.identity(space), shifted])
     return {
-        "complex": (dumps_complex(build_complex([(0, 1, 2), (2, 3)])),
-                    loads_complex),
+        "complex": ("2 3\n0 1 2\n", loads_complex),
         "space": (dumps_space(space), loads_space),
         "operator": (dumps_operator(unitized),
                      lambda t: loads_operator(t, space)),
-        "kclass": (dumps_kclass(KClassRep("even", p.with_scalar(0.0),
-                                          QuasiParams(0.1, 0.5), 0)),
-                   lambda t: loads_kclass(t, space)),
         "certificate": (dumps_certificate(
             interpolation_certificate(p, q, QuasiParams(0.2, 1.5))),
             lambda t: loads_certificate(t, space)),
         "map": (dumps_coarse_map(shifted),
                 lambda t: loads_coarse_map(t, space, space)),
-        "homotopy": (dumps_homotopy(hom),
-                     lambda t: loads_homotopy(t, space, space)),
         "path": (dumps_path(path), lambda t: loads_path(t, space)),
         "report": (dumps_report({"command": "demo", "passed": True},
                                 [("prop", 0.5, 1.0, 0.5)]), loads_report),
     }
 
 
-STRUCTURED = ["space", "operator", "kclass", "certificate", "map",
-              "homotopy", "path"]
+STRUCTURED = ["space", "operator", "certificate", "map", "path"]
 SWAP_TOKENS = ["", "x", "-1", "nan", "99999999999"]
 
 
@@ -359,9 +319,6 @@ class TestStrictReaders:
             loads_path("\n".join(lines), space)
 
     def test_displacements_and_horizon_checked_by_key(self):
-        hom_text, load_hom = _valid_files()["homotopy"]
-        with pytest.raises(MalformedInputError, match="^line 3: "):
-            load_hom(hom_text.replace("displacements:", "displacement:"))
         path_text, load_path = _valid_files()["path"]
         with pytest.raises(MalformedInputError, match="^line 4: "):
             load_path(path_text.replace("horizon: 2", "horizon: two"))
