@@ -237,14 +237,6 @@ class KClassRep:
         if self.parity not in ("even", "odd"):
             raise DomainError("parity must be 'even' or 'odd'")
 
-    def check(self, tau=DEFAULT_TAU):
-        ok, wit = is_quasi(self.rep, self.parity, self.params, tau)
-        if self.parity == "even":
-            tagged = scalar_rank(self.rep)
-            ok = ok and tagged == self.ell
-            wit.update(scalar_rank=tagged, ell=self.ell)
-        return ok, wit
-
 
 def stabilize(x, k):
     """diag(rep, I_k); even parity tags the added scalar rank onto ell."""

@@ -240,8 +240,8 @@ def discretize(complex_, mesh, fiber_dim=1):
     module docstring); they equal the all-sample graph metric up to rounding.
     All fibers get dimension ``fiber_dim``.
     """
-    if mesh <= 0:
-        raise DomainError("mesh must be positive")
+    if not 0 < mesh < math.inf:  # a space file holds a finite positive mesh
+        raise DomainError("mesh must be finite and positive")
     if fiber_dim < 1:
         raise DomainError("fiber_dim must be >= 1")
     m = _lattice_subdivisions(mesh, complex_.dimension)

@@ -5,7 +5,10 @@ Floats are written with 17 significant digits so every round trip is exact;
 infinite distances appear as the literal token ``inf``.  Files are written
 atomically (temp file + rename) and every format starts with a tagged
 version line.  Operators reference their space by a content hash and can
-only be loaded against a space with the same hash.
+only be loaded against a space with the same hash.  That hash is the digest
+of the text ``dumps_space`` writes: a space read from exactly that text
+takes the text's digest, and a space read from any other accepted text is
+rendered again to hash it.
 
 The readers are strict and share one line cursor: a missing line, a wrong
 tag or key, a bad number, a wrong token count, a negative count or a
@@ -16,10 +19,12 @@ allocates from a header count before the lines it announces are read.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 import weakref
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, count
 
 import numpy as np
 
@@ -51,8 +56,8 @@ class _Reader:
         self.lines = text.splitlines()
         self.at = 0  # lines read so far, so the current line is ``at``
 
-    def error(self, message):
-        return MalformedInputError(f"line {self.at}: {message}")
+    def error(self, message, at=None):
+        return MalformedInputError(f"line {self.at if at is None else at}: {message}")
 
     def line(self):
         self.at += 1
@@ -171,7 +176,8 @@ def loads_complex(text):
 # -- spaces ------------------------------------------------------------------
 
 
-def dumps_space(space):
+def _space_head(space):
+    """The lines of a space text above its ``dist:`` line."""
     # one writer call for every coordinate; the carriers are ragged
     coords = _tokens(list(chain.from_iterable(p.coords for p in space.points)))[0].tolist()
     out = ["coarsek-space v1",
@@ -183,8 +189,11 @@ def dumps_space(space):
         coord = ",".join(coords[at:at + len(p.coords)])
         at += len(p.coords)
         out.append(f"{i} {carrier} {coord} {space.internal_dims[i]}")
-    out += ["dist:", *_rows(space.dist)]
-    return "\n".join(out) + "\n"
+    return out
+
+
+def dumps_space(space):
+    return "\n".join([*_space_head(space), "dist:", *_rows(space.dist)]) + "\n"
 
 
 # A dense operator over one fiber of this dimension alone would take 64 GiB.
@@ -194,7 +203,7 @@ _MAX_FIBER_DIM = 1 << 16
 def loads_space(text):
     with _Reader(text) as rd:
         rd.tag("coarsek-space v1")
-        mesh = rd.field("mesh", lambda s: None if s == "none" else float(s))
+        mesh = rd.field("mesh", _mesh)
         n = rd.field("points", _count)
         points, dims = [], []
         for i in range(n):
@@ -205,16 +214,89 @@ def loads_space(text):
             points.append(point)
             dims.append(d)
         rd.tag("dist:")
-        dist = np.array([rd.numbers(float, n) for _ in range(n)])
-    return SampledSpace(points, dist, dims, mesh=mesh)
+        dist, canonical = _distances(rd, n)
+    space = SampledSpace(points, dist, dims, mesh=mesh)
+    # the text is what dumps_space writes if its rows and its head are, and
+    # every line ends in one "\n" with nothing after the distance block
+    if canonical and len(rd.lines) == 2 * n + 4 and _single_newlines(text, rd.lines) \
+            and rd.lines[:n + 4] == [*_space_head(space), "dist:"]:
+        _HASHES[space] = digest(text)
+    return space
+
+
+def _mesh(text):
+    if text == "none":
+        return None
+    mesh = float(text)
+    if not 0 < mesh < math.inf:
+        raise ValueError(f"mesh {text} is not finite and positive")
+    return mesh
 
 
 def _sample(line):
-    """``id carrier coords dim`` -> (id, SamplePoint, dim)."""
+    """``id carrier coords dim`` -> (id, SamplePoint, dim); a sample has one
+    finite positive coordinate per carrier vertex, and no vertex twice."""
     idx, carrier, coords, d = line.split()
-    point = SamplePoint(tuple(int(v) for v in carrier.split(",")),
-                        tuple(float(c) for c in coords.split(",")))
-    return int(idx), point, int(d)
+    carrier = tuple(int(v) for v in carrier.split(","))
+    coords = tuple(float(c) for c in coords.split(","))
+    if len(set(carrier)) != len(carrier):
+        raise ValueError(f"carrier {carrier} repeats a vertex")
+    if len(coords) != len(carrier):
+        raise ValueError(f"{len(coords)} coordinates for {len(carrier)} carrier vertices")
+    if not all(0 < c < math.inf for c in coords):
+        raise ValueError(f"coordinates {coords} are not finite and positive")
+    return int(idx), SamplePoint(carrier, coords), int(d)
+
+
+def _distances(rd, n):
+    """The ``n`` rows of a distance block, and whether each row is written as
+    ``dumps_space`` writes it.  Each distinct token is converted once: the
+    rows hold int32 codes of the tokens, numbered in order of first
+    appearance, and the distinct tokens are converted together at the end.
+    A fault names the line the row-by-row reader would: the first row with a
+    bad token or a wrong count, and on a row with both, the count."""
+    memo = defaultdict(count().__next__)
+    rows, canonical = [], True
+    first = rd.at + 1  # the line of row 0
+    try:
+        for _ in range(n):
+            line = rd.line()
+            tokens = line.split()
+            if len(tokens) != n:  # np.fromiter would drop extra tokens
+                raise rd.error(f"expected {n} numbers, found {len(tokens)}")
+            rows.append(np.fromiter(map(memo.__getitem__, tokens), np.int32, n))
+            canonical = canonical and line == " ".join(tokens)
+    except MalformedInputError:
+        _convert(rd, list(memo), rows, first)  # a bad token on an earlier row wins
+        raise
+    keys = list(memo)
+    values = _convert(rd, keys, rows, first)
+    # a key that is its own %.17g token makes each row its dumps_space row
+    canonical = canonical and _tokens(values)[0].tolist() == keys
+    return values[np.array(rows, dtype=np.int32)], canonical
+
+
+def _convert(rd, keys, rows, first):
+    """The distinct tokens as floats; a bad one is named on the first row
+    that holds it, the first row with a bad token."""
+    try:
+        return np.array(keys, dtype=float)
+    except ValueError as exc:
+        error = exc
+    for code, key in enumerate(keys):
+        try:
+            np.array([key], dtype=float)
+        except ValueError as exc:
+            row = next(i for i, codes in enumerate(rows) if (codes == code).any())
+            raise rd.error(exc, at=first + row) from exc
+    raise rd.error(error) from error
+
+
+def _single_newlines(text, lines):
+    """Whether ``text`` is ``lines``, each ended by one ``\\n``: the text has
+    as many ``\\n`` as lines (so every line break holds one) and no character
+    beyond the lines and those breaks (so no break holds more)."""
+    return text.count("\n") == len(lines) == len(text) - sum(map(len, lines))
 
 
 _HASHES = weakref.WeakKeyDictionary()  # space -> digest; a built space does not change

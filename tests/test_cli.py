@@ -361,6 +361,19 @@ class TestStrictInputs:
                      "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: ")
 
+    @pytest.mark.parametrize("edit, error", [
+        (("mesh: none", "mesh: -1"), "line 2: mesh -1 is not finite and positive"),
+        (("\n2 2 1 1\n", "\n2 2 nan 1\n"), "line 6: coordinates (nan,) are not finite"),
+        (("\n2 2 1 1\n", "\n2 0,2 1 1\n"), "line 6: 1 coordinates for 2 carrier vertices"),
+    ])
+    def test_malformed_mesh_or_sample_exits_2(self, tmp_path, outdir, capsys, edit, error):
+        files = self._files(tmp_path)
+        text = open(files["space"], encoding="utf-8").read()
+        assert edit[0] in text
+        write(tmp_path / "space.txt", text.replace(*edit))
+        assert main(["op-prop", files["space"], files["operator"], "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith(f"FAIL: {error}")
+
     def test_asymmetric_distance_exits_2(self, tmp_path, outdir, capsys):
         # d(1, 0) stays pi/2 and d(0, 1) is 5e-6 larger, relatively
         sf, opf = self._edited_distances(tmp_path, {(0, 1): repr(np.pi / 2 * (1 + 5e-6))})

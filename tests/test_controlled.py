@@ -281,10 +281,9 @@ class TestStabilize:
         p = random_blockdiag_quasi_projection(fat5, rng, [1, 0, 0, 2, 1])
         x = KClassRep("even", p.with_scalar(0.0), QuasiParams(0.1, 0.5))
         y = stabilize(x, 2)
-        assert y.ell == 2
-        assert scalar_rank(y.rep) == 2
-        ok, _ = y.check()
-        assert ok
+        assert scalar_rank(y.rep) == y.ell == 2
+        ok, wit = is_quasi(y.rep, "even", y.params)
+        assert ok, wit
 
     def test_class_vector_invariant(self, fat5, rng):
         ranks = np.array([1, 2, 0, 1, 3])
@@ -570,7 +569,7 @@ def test_stabilize_odd_parity(pt2):
     big = stabilize(rep, 3)
     assert big.ell == 0
     assert big.rep.amplification == 4
-    ok, wit = big.check()
+    ok, wit = is_quasi(big.rep, "odd", big.params)
     assert ok, wit
 
 

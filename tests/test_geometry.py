@@ -119,6 +119,12 @@ class TestDiscretize:
         assert kinds == [((0,), (1.0,)), ((0, 1), (0.5, 0.5)),
                          ((1,), (1.0,)), ((1, 2), (0.5, 0.5)), ((2,), (1.0,))]
 
+    @pytest.mark.parametrize("mesh", [0.0, -1.0, np.inf, np.nan])
+    def test_mesh_must_be_finite_and_positive(self, edge_complex, mesh):
+        # the space reader refuses any other mesh in a file discretize writes
+        with pytest.raises(DomainError, match="finite and positive"):
+            discretize(edge_complex, mesh)
+
     @pytest.mark.parametrize("mesh", [0.8, 0.4, 0.2])
     def test_covering_radius(self, mesh, rng):
         x = build_complex([(0, 1, 2)])

@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coarsek"
 MODULES = sorted(SRC.glob("*.py"))
 LAYOUT_MODULES = {"operator.py", "geometry.py"}
-# the library, the demos and the benchmark: every reader that is not a test
-READERS = MODULES + sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+# the demos and the benchmark: with the library, every reader that is not a test
+CLIENTS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 # public names that only tests read, each kept for the reason given
 TEST_ONLY = {
     "spectral_band_radius": "acceptance criterion 1 reads it",
@@ -98,6 +98,19 @@ def names_read(trees):
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     return read
+
+
+def defined_names(trees):
+    """Every function, class and method name the trees define."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def library_reads(modules, clients):
+    """The names the library reads, and those its clients read that the
+    clients do not define themselves: a client reading its own ``check``
+    reads no library ``check``."""
+    return names_read(modules) | (names_read(clients) - defined_names(clients))
 
 
 def number_formats(tree):
@@ -254,7 +267,8 @@ def test_no_unread_private_names():
 
 
 def test_no_public_name_only_tests_reach():
-    read = names_read(tree_of(path) for path in READERS)
+    read = library_reads([tree_of(path) for path in MODULES],
+                         [tree_of(path) for path in CLIENTS])
     unread = [(f"{path.name}:{line}", name) for path in MODULES
               for line, name in public_definitions(tree_of(path))
               if name.rpartition(".")[2] not in read]
@@ -287,6 +301,12 @@ def test_guards_catch_what_they_name():
     assert public_definitions(tree) == [(1, "Cell"), (2, "Cell.grow"), (9, "seed")]
     assert {"Cell", "grow"} <= names_read([tree])
     assert "seed" not in names_read([tree])
+    bench = [ast.parse("class Load:\n    def check(self, i):\n        return i\n"),
+             ast.parse("def loop(w):\n    return w.check(0) + w.grow()\n")]
+    assert {"check", "grow"} <= names_read(bench)
+    read = library_reads([ast.parse("pass\n")], bench)
+    assert "grow" in read and "check" not in read
+    assert "check" in library_reads([ast.parse("x.check()\n")], bench)
     tree = ast.parse('"""Writes ``%.17g``."""\n\n\ndef _tokens(v):\n    """As %.17g."""\n'
                      '    return "%.17g" % v\n\n\ndef dumps(x):\n'
                      '    return f"{x:.17g}," + "%.17g" % x\n')

@@ -95,6 +95,53 @@ class TestSpaceFile:
         assert space_hash(space) == digest == space_hash(loads_space(dumps_space(space)))
 
 
+def _canonical_space_text():
+    """A space text with ``1`` and ``0.5`` distance tokens and mesh 0.5."""
+    d = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+    text = dumps_space(SampledSpace.from_distance_matrix(d, [1, 2, 1], mesh=0.5))
+    assert text == ("coarsek-space v1\nmesh: 0.5\npoints: 3\n0 0 1 1\n1 1 1 2\n"
+                    "2 2 1 1\ndist:\n0 0.5 1\n0.5 0 0.5\n1 0.5 0\n")
+    return text
+
+
+_ROW = "\n0 0.5 1\n"
+# texts the space reader accepts that dumps_space does not write
+SPACE_VARIANTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no final newline": lambda t: t[:-1],
+    "trailing blank lines": lambda t: t + "\n\n",
+    "doubled space": lambda t: t.replace(_ROW, "\n0  0.5 1\n"),
+    "tab": lambda t: t.replace(_ROW, "\n0\t0.5 1\n"),
+    "1.0 for 1": lambda t: t.replace(_ROW, "\n0 0.5 1.0\n"),
+    "5e-1 for 0.5": lambda t: t.replace(_ROW, "\n0 5e-1 1\n"),
+    "mesh 0.50": lambda t: t.replace("mesh: 0.5\n", "mesh: 0.50\n"),
+    "fiber dimension 01": lambda t: t.replace("\n0 0 1 1\n", "\n0 0 1 01\n"),
+}
+
+
+class TestSpaceHash:
+    """A space read from the text ``dumps_space`` writes keeps that text's
+    digest; any other accepted text hashes as its re-rendered space."""
+
+    @pytest.mark.parametrize("variant", ["canonical", *SPACE_VARIANTS])
+    def test_hash_is_the_digest_of_the_rendered_space(self, variant):
+        text = _canonical_space_text()
+        if variant != "canonical":
+            text = SPACE_VARIANTS[variant](text)
+            assert text != _canonical_space_text()
+        space = loads_space(text)
+        assert space_hash(space) == serialize.digest(dumps_space(space))
+
+    def test_canonical_text_is_not_rendered_again(self, monkeypatch):
+        text = dumps_space(discretize(build_complex([(0, 1, 2)]), 0.25, fiber_dim=2))
+        calls = []
+        render = serialize.dumps_space
+        monkeypatch.setattr(serialize, "dumps_space",
+                            lambda s: calls.append(s) or render(s))
+        assert space_hash(loads_space(text)) == serialize.digest(text)
+        assert calls == []
+
+
 class TestOperatorFile:
     def test_round_trip_bit_exact(self, space, rng):
         op = random_banded(space, 1.0, rng, amplification=2)
@@ -255,6 +302,44 @@ class TestStrictReaders:
         lines[5] = lines[5].replace("2", "two")
         with pytest.raises(MalformedInputError, match="^line 6: "):
             loads_space("\n".join(lines))
+
+    @pytest.mark.parametrize("rows, message", [
+        # a bad token above a short row, a long row or the end of the file
+        ({7: "0.5 x 0.5", 8: "1 0.5"}, "line 8: could not convert string to float: 'x'"),
+        ({7: "0.5 x 0.5", 8: "1 0.5 0 0"}, "line 8: could not convert string to float: 'x'"),
+        ({7: "0.5 x 0.5", 8: None}, "line 8: could not convert string to float: 'x'"),
+        # a short row above a bad token
+        ({7: "0.5 0", 8: "1 x 0"}, "line 8: expected 3 numbers, found 2"),
+        # the first bad token of the first bad row, and a bad short row
+        ({7: "0.5 y x", 8: "1 x 0"}, "line 8: could not convert string to float: 'y'"),
+        ({8: "0.5 x 0.5", 9: "1"}, "line 9: could not convert string to float: 'x'"),
+        ({7: "0.5 y"}, "line 8: expected 3 numbers, found 2"),
+    ])
+    def test_distance_errors_name_the_row_by_row_line(self, rows, message):
+        lines = _canonical_space_text().splitlines()
+        for i, row in rows.items():
+            lines[i] = row
+        text = "\n".join(line for line in lines if line is not None) + "\n"
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            loads_space(text)
+
+    @pytest.mark.parametrize("line, sample", [
+        (5, "2 0,1 0.25 1"),  # one coordinate for two carrier vertices
+        (5, "2 0,0 0.25,0.75 1"),  # a repeated carrier vertex
+        (5, "2 2 nan 1"),
+        (5, "2 2 inf 1"),
+        (5, "2 2 -0.5 1"),
+        (5, "2 2 0 1"),
+        (1, "mesh: nan"),
+        (1, "mesh: -1"),
+        (1, "mesh: inf"),
+        (1, "mesh: 0"),
+    ])
+    def test_malformed_samples_and_meshes(self, line, sample):
+        lines = _canonical_space_text().splitlines()
+        lines[line] = sample
+        with pytest.raises(MalformedInputError, match=f"^line {line + 1}: "):
+            loads_space("\n".join(lines) + "\n")
 
     def test_huge_count_reaches_end_of_file(self):
         text = dumps_space(_small_space()).replace("points: 3",
