@@ -139,7 +139,8 @@ class SampledSpace:
     points        tuple of SamplePoint
     dist          (N, N) symmetric nonnegative matrix, inf between components
     internal_dims per-point fiber dimension of the module
-    mesh          discretization parameter used (None for raw spaces)
+    mesh          discretization parameter used, finite and positive
+                  (None for raw spaces)
 
     A built space does not change: ``points`` is a tuple, the arrays are
     read-only copies and ``mesh`` is a read-only property, so
@@ -147,6 +148,8 @@ class SampledSpace:
     """
 
     def __init__(self, points, dist, internal_dims, mesh=None):
+        if not valid_mesh(mesh):
+            raise DomainError(f"mesh {mesh} is not finite and positive")
         self.points = tuple(points)
         dist = np.array(dist, dtype=float)  # a copy: the caller's array may change
         n = len(self.points)
@@ -217,6 +220,12 @@ class SampledSpace:
                 f"{self.total_dim}, mesh {self.mesh})")
 
 
+def valid_mesh(mesh):
+    """The rule for the mesh of a space, which its file can hold: none (a
+    raw space) or a finite positive number."""
+    return mesh is None or 0 < mesh < math.inf
+
+
 def _lattice_subdivisions(mesh, dim):
     # Arc distance is sqrt(k+1)-Lipschitz in the l2 barycentric metric and the
     # step-1/m lattice covers a k-simplex to l2 radius sqrt(2)/m, so this step
@@ -240,7 +249,7 @@ def discretize(complex_, mesh, fiber_dim=1):
     module docstring); they equal the all-sample graph metric up to rounding.
     All fibers get dimension ``fiber_dim``.
     """
-    if not 0 < mesh < math.inf:  # a space file holds a finite positive mesh
+    if mesh is None or not valid_mesh(mesh):
         raise DomainError("mesh must be finite and positive")
     if fiber_dim < 1:
         raise DomainError("fiber_dim must be >= 1")

@@ -10,6 +10,12 @@ of the text ``dumps_space`` writes: a space read from exactly that text
 takes the text's digest, and a space read from any other accepted text is
 rendered again to hash it.
 
+Every number is written by ``_tokens``, which formats each distinct value
+once and writes a +0.0 as ``0`` without sorting or formatting it.  An
+operator's entries block is read in one ``np.loadtxt`` call; that result
+stands only when it has the block's shape and came with no warning, and
+anything else reads the block again one row at a time.
+
 The readers are strict and share one line cursor: a missing line, a wrong
 tag or key, a bad number, a wrong token count, a negative count or a
 trailing line raises MalformedInputError naming the line.  No reader
@@ -22,6 +28,7 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
 import weakref
 from collections import defaultdict
 from itertools import chain, count
@@ -31,7 +38,7 @@ import numpy as np
 from .coarse import CoarseMap
 from .controlled import HomotopyCertificate, QuasiParams
 from .errors import MalformedInputError
-from .geometry import SamplePoint, SampledSpace, build_complex
+from .geometry import SamplePoint, SampledSpace, build_complex, valid_mesh
 from .operator import FiniteOperator
 from .paths import PathOperator
 
@@ -124,16 +131,26 @@ def _tokens(values):
     """The ``%.17g`` tokens of a real or complex array (``re im`` per complex
     number) as an object array with one row per leading index; a 0-d or 1-d
     array is one row.  Each distinct float is formatted once: values are told
-    apart by their bits, so ``0.0`` and ``-0.0`` stay ``0`` and ``-0``."""
+    apart by their bits, so ``0.0`` and ``-0.0`` stay ``0`` and ``-0``.
+
+    Sorting the bits is most of the cost.  A +0.0 (all bits clear) is always
+    the token ``0``, so an array that is mostly +0.0 sorts only its other
+    entries; a mostly nonzero one sorts them all, because picking them out
+    would cost it more than it saves."""
     values = np.asarray(values)
     rows = len(values) if values.ndim > 1 else 1
     if np.iscomplexobj(values):
         values = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    text = "\n".join(["%.17g"] * len(keys)) % tuple(keys.view(float).tolist())
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    at = np.flatnonzero(bits) if 2 * np.count_nonzero(bits) < bits.size else None
+    keys, inverse = np.unique(bits if at is None else bits[at], return_inverse=True)
+    text = "\n".join([*["%.17g"] * len(keys), "0"]) % tuple(keys.view(float).tolist())
     # numpy 1.x returns the inverse flat and 2.x shaped like its input
-    tokens = np.array(text.split("\n"), dtype=object)[inverse.reshape(-1)]
+    codes = inverse.reshape(-1)
+    if at is not None:  # every entry left out is +0.0, the last token
+        codes = np.full(bits.size, len(keys))
+        codes[at] = inverse.reshape(-1)
+    tokens = np.array(text.split("\n"), dtype=object)[codes]
     return tokens.reshape(rows, -1 if rows else 0)
 
 
@@ -228,7 +245,7 @@ def _mesh(text):
     if text == "none":
         return None
     mesh = float(text)
-    if not 0 < mesh < math.inf:
+    if not valid_mesh(mesh):
         raise ValueError(f"mesh {text} is not finite and positive")
     return mesh
 
@@ -273,7 +290,7 @@ def _distances(rd, n):
     values = _convert(rd, keys, rows, first)
     # a key that is its own %.17g token makes each row its dumps_space row
     canonical = canonical and _tokens(values)[0].tolist() == keys
-    return values[np.array(rows, dtype=np.int32)], canonical
+    return values[np.array(rows, dtype=np.int32).reshape(n, n)], canonical
 
 
 def _convert(rd, keys, rows, first):
@@ -346,8 +363,35 @@ def _parse_operator(rd, space):
     if k < 1 or n != k * space.total_dim:
         raise rd.error(f"dim {n} for amplification {k} over dimension {space.total_dim}")
     rd.tag("entries:")
-    entries = np.array([rd.numbers(complex, n) for _ in range(n)])
-    return FiniteOperator(space, entries, k, scalar)
+    return FiniteOperator(space, _entries(rd, n), k, scalar)
+
+
+def _entries(rd, n):
+    """The ``n`` rows of ``re im`` pairs of an entries block as an (n, n)
+    complex matrix, parsed in one ``np.loadtxt`` call.  Its result stands
+    only when it has shape (n, 2n) and no warning came with it (loadtxt skips
+    blank lines, and warns when it finds no data); anything else, a fault
+    included, reads the block again with ``_entry_rows``, so a fault names
+    its line.  loadtxt also refuses some tokens that ``float`` takes, such as
+    ``1_0`` and non-ASCII digits, and the row reader reads those blocks."""
+    if n:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(rd.lines[rd.at:rd.at + n], dtype=float,
+                                    comments=None, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if values.shape == (n, 2 * n):
+                rd.at += n
+                return values.view(complex)
+    return _entry_rows(rd, n)
+
+
+def _entry_rows(rd, n):
+    """The row reader of an entries block: one line, one conversion."""
+    return np.array([rd.numbers(complex, n) for _ in range(n)], dtype=complex).reshape(n, n)
 
 
 # -- certificates ------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestBasicCommands:
         space_file = os.path.join(outdir, "space.txt")
         assert os.path.exists(space_file)
         from coarsek.serialize import loads_space
-        space = loads_space(open(space_file).read())
+        space = loads_space(Path(space_file).read_text())
         rng = np.random.default_rng(0)
         op = random_banded(space, 0.5, rng)
         opf = write(tmp_path / "op.txt", dumps_operator(op))
@@ -249,7 +250,7 @@ class TestReportAndConfig:
         r1 = os.path.join(outdir, "complex-validate.report.txt")
         r2 = os.path.join(outdir, "discretize.report.txt")
         assert main(["report", r1, r2, "--out", outdir]) == 0
-        merged = open(os.path.join(outdir, "merged.report.txt")).read()
+        merged = Path(outdir, "merged.report.txt").read_text()
         assert "## complex-validate.report.txt" in merged
         assert merged.index("complex-validate") < merged.index("discretize")
 
@@ -265,7 +266,7 @@ class TestReportAndConfig:
         # flag beats config for mesh; config supplies fiber
         assert float(fields["mesh"]) == 0.5
         from coarsek.serialize import loads_space
-        space = loads_space(open(os.path.join(outdir, "space.txt")).read())
+        space = loads_space(Path(outdir, "space.txt").read_text())
         assert (space.internal_dims == 3).all()
 
     def test_determinism_bit_identical(self, tmp_path):
@@ -276,8 +277,7 @@ class TestReportAndConfig:
             assert main(["mv-verify", str(cx), "--mesh", "0.05",
                          "--r", "0.02", "--trials", "6", "--seed", "11",
                          "--out", out]) == 0
-            outs.append(open(os.path.join(out, "mv-verify.report.txt"),
-                             "rb").read())
+            outs.append(Path(out, "mv-verify.report.txt").read_bytes())
         assert outs[0] == outs[1]
 
     def test_console_entry_point(self, tmp_path):
@@ -368,7 +368,7 @@ class TestStrictInputs:
     ])
     def test_malformed_mesh_or_sample_exits_2(self, tmp_path, outdir, capsys, edit, error):
         files = self._files(tmp_path)
-        text = open(files["space"], encoding="utf-8").read()
+        text = Path(files["space"]).read_text(encoding="utf-8")
         assert edit[0] in text
         write(tmp_path / "space.txt", text.replace(*edit))
         assert main(["op-prop", files["space"], files["operator"], "--out", outdir]) == 2
@@ -382,7 +382,7 @@ class TestStrictInputs:
 
     def test_empty_times_in_path(self, tmp_path, outdir, capsys):
         files = self._files(tmp_path)
-        text = open(files["path"], encoding="utf-8").read()
+        text = Path(files["path"]).read_text(encoding="utf-8")
         start = text.index("times:")
         bad = write(tmp_path / "bad.txt",
                     text[:start] + "times:" + text[text.index("\n", start):])

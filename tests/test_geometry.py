@@ -121,9 +121,11 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("mesh", [0.0, -1.0, np.inf, np.nan])
     def test_mesh_must_be_finite_and_positive(self, edge_complex, mesh):
-        # the space reader refuses any other mesh in a file discretize writes
+        # the space reader refuses any other mesh in a space file
         with pytest.raises(DomainError, match="finite and positive"):
             discretize(edge_complex, mesh)
+        with pytest.raises(DomainError, match="finite and positive"):
+            SampledSpace.from_distance_matrix(np.zeros((1, 1)), mesh=mesh)
 
     @pytest.mark.parametrize("mesh", [0.8, 0.4, 0.2])
     def test_covering_radius(self, mesh, rng):

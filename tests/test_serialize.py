@@ -1,5 +1,6 @@
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,13 @@ class TestSpaceFile:
         assert isinstance(space.points, tuple)
         assert space_hash(space) == digest == space_hash(loads_space(dumps_space(space)))
 
+    def test_empty_space_round_trips(self):
+        empty = SampledSpace.from_distance_matrix(np.zeros((0, 0)))
+        text = dumps_space(empty)
+        again = loads_space(text)
+        assert again.dist.shape == (0, 0) and len(again) == 0
+        assert dumps_space(again) == text
+
 
 def _canonical_space_text():
     """A space text with ``1`` and ``0.5`` distance tokens and mesh 0.5."""
@@ -156,6 +164,15 @@ class TestOperatorFile:
         op = FiniteOperator.identity(space, 3, unitized=True)
         again = loads_operator(dumps_operator(op), space)
         assert np.array_equal(op.scalar, again.scalar)
+
+    @pytest.mark.parametrize("k, scalar", [(1, None), (2, [1.0, -0.5])])
+    def test_dim_zero_round_trips(self, k, scalar):
+        empty = SampledSpace.from_distance_matrix(np.zeros((0, 0)))
+        op = FiniteOperator(empty, np.zeros((0, 0), dtype=complex), k, scalar)
+        text = dumps_operator(op)
+        again = loads_operator(text, empty)
+        assert again.entries.shape == (0, 0) and again.entries.dtype == complex
+        assert dumps_operator(again) == text
 
     def test_wrong_space_rejected(self, space, rng):
         op = random_banded(space, 1.0, rng)
@@ -547,6 +564,122 @@ class TestTokens:
         assert _tokens(2.5).tolist() == [["2.5"]] and _line(np.float64(-0.0)) == "-0"
         assert _line(complex(0.5, -1.0)) == "0.5 -1"
         assert _rows([[complex(1, -0.0)]]) == ["1 -0"] and _rows([[7.0]]) == ["7"]
+
+
+@st.composite
+def entry_blocks(draw, min_n=0):
+    """An n x n complex matrix that is all +0.0, mostly +0.0 or dense, with
+    signed zeros and the edge values among its entries."""
+    n = draw(st.integers(min_n, 5))
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    m = np.zeros(2 * n * n)
+    if kind == "dense":
+        m[:] = draw(st.lists(any_float, min_size=m.size, max_size=m.size))
+    elif kind == "sparse" and n:
+        for i in draw(st.lists(st.integers(0, m.size - 1), max_size=n)):
+            m[i] = draw(any_float | st.just(-0.0))
+    return m.view(complex).reshape(n, n)
+
+
+def _read_entries(read, lines, n):
+    """``read`` (the bulk or the row reader of an entries block) from the
+    first of ``lines``: the shape, type and bytes of what it read and the
+    lines it took, or its message.  No warning may reach the caller."""
+    rd = serialize._Reader("")
+    rd.lines = list(lines)  # not split again: a line may hold "\x1c"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = read(rd, n)
+        except MalformedInputError as exc:
+            values = str(exc)
+    assert not caught, [str(w.message) for w in caught]
+    if isinstance(values, str):
+        return values
+    return values.shape, values.dtype, values.tobytes(), rd.at
+
+
+# separators str.split takes, one of which str.splitlines also breaks at
+SEPARATORS = ["\x1c", "\xa0", "\t", "\u3000", "  "]
+# tokens float() takes and loadtxt refuses, tokens both take, tokens neither
+# takes, and a token after a comment mark
+ODD_TOKENS = ["1_0", "1_000.5", "\u0661", "\u0663.\u0665", "\uff11", "-nan", "+inf", "infinity",
+              "1e400", "-1e-400", ".5", "5.", "x", "0x1p0", "nan(1)", "1,0", "--1", "1e",
+              "1d5", "\x00", "0 #0"]
+FUZZ = st.text("0123456789.-+eEinfaINF_x,# \x00\u0661\xa0\x1c", min_size=1, max_size=6)
+
+
+@st.composite
+def _block_mutations(draw, lines):
+    """An entries block with row k changed: a bad or odd token, a short or
+    long row, a blank line before it, another separator, or the end of the
+    file at it."""
+    lines = list(lines)
+    k = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[k].split(" ")
+    j = draw(st.integers(0, len(tokens) - 1))
+    kind = draw(st.sampled_from(["token", "fuzz", "short", "long", "blank",
+                                 "separator", "truncate"]))
+    if kind == "blank":
+        return lines[:k] + [draw(st.sampled_from(["", "  ", "\t"]))] + lines[k:]
+    if kind == "truncate":
+        return lines[:k]
+    if kind == "separator":  # in place of the space before token j
+        lines[k] = " ".join(tokens[:j]) + draw(st.sampled_from(SEPARATORS)) \
+            + " ".join(tokens[j:])
+        return lines
+    if kind == "short":
+        del tokens[j]
+    elif kind == "long":
+        tokens.insert(j, tokens[j])
+    else:
+        tokens[j] = draw(st.sampled_from(ODD_TOKENS) if kind == "token" else FUZZ)
+    lines[k] = " ".join(tokens)
+    return lines
+
+
+class TestEntriesBlock:
+    """The bulk reader of an entries block against the row reader, and the
+    writer against ``%.17g`` of one value at a time."""
+
+    @given(entry_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_blocks_read_the_same_bits(self, m):
+        lines = _rows(m)
+        assert lines == [oracle_line(row) for row in m]
+        n = len(m)
+        got = _read_entries(serialize._entries, [*lines, "--- sample 1 ---"], n)
+        assert got == _read_entries(serialize._entry_rows, [*lines, "--- sample 1 ---"], n)
+        shape, dtype, data, at = got
+        assert shape == (n, n) and dtype == complex and at == n
+        assert _rows(np.frombuffer(data, complex).reshape(n, n)) == lines
+
+    @given(entry_blocks(min_n=1), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_blocks_give_the_row_readers_result(self, m, data):
+        lines = data.draw(_block_mutations(_rows(m)))
+        got = _read_entries(serialize._entries, lines, len(m))
+        assert got == _read_entries(serialize._entry_rows, lines, len(m))
+        if isinstance(got, str):
+            assert re.match(r"line \d+: ", got)
+
+    @pytest.mark.parametrize("row, read", [
+        ("0 x 0 0", "line 2: could not convert string to float: 'x'"),
+        ("0 0 0", "line 2: expected 4 numbers, found 3"),
+        ("", "line 2: expected 4 numbers, found 0"),
+        ("0 0 0 0 #0", "line 2: expected 4 numbers, found 5"),  # no comments in a block
+        ("1\x1c2 3\xa04", [1, 2, 3, 4]),
+        ("1_0 0 0 0", [10, 0, 0, 0]),  # loadtxt refuses it, the row reader takes it
+        ("\u0661 0 \u0662 0", [1, 0, 2, 0]),
+    ])
+    def test_named_mutations(self, row, read):
+        lines = ["0 0 0 0", row]
+        got = _read_entries(serialize._entries, lines, 2)
+        assert got == _read_entries(serialize._entry_rows, lines, 2)
+        if isinstance(read, str):
+            assert got == read
+        else:
+            assert np.frombuffer(got[2], float)[4:].tolist() == read
 
 
 def test_certificate_round_trip_renders_its_space_once(monkeypatch):
