@@ -4,17 +4,15 @@ with propagation control."""
 from .geometry import (
     SimplicialComplex, SampledSpace, SamplePoint,
     build_complex, cycle_complex, circle_space, discretize,
-    neighborhood, decompose, simplex_center, retract_onto_pieces,
+    neighborhood, decompose, simplex_center,
 )
 from .operator import (
-    FiniteOperator, opnorm, support, support_pairs, propagation,
-    restrict, compress,
+    FiniteOperator, opnorm, support, propagation, restrict,
 )
 from .controlled import (
     QuasiParams, KClassRep, HomotopyCertificate, ControlPair,
-    is_quasi, is_quasi_projection, is_quasi_unitary, perturb_bound, stabilize,
-    kappa_even, kappa_odd, k0_points, interpolation_certificate,
-    resample_certificate, verify_certificate,
+    is_quasi, is_quasi_projection, perturb_bound, stabilize,
+    kappa_even, k0_points, interpolation_certificate, verify_certificate,
     compose_control_pairs, apply_control_pair, relaxed_params,
 )
 from .coarse import (
@@ -23,8 +21,7 @@ from .coarse import (
     partition_homotopy, homotopy_invariance_certificate,
 )
 from .mv import (
-    MvPair, CutFunction, coercive_split, cia_midpoint,
-    neighborhood_containment, verify_weak_mv_pair,
+    MvPair, CutFunction, coercive_split, cia_midpoint, verify_weak_mv_pair,
     clutching_projection, local_index,
 )
 from .paths import PathOperator, eventual_propagation, trim, evaluate

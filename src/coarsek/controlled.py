@@ -1,6 +1,6 @@
-"""Quasi-projections and quasi-unitaries, their comparison maps to exact
-projections/unitaries, class representatives, homotopy certificates, and
-the (lambda, h) parameter bookkeeping.
+"""Quasi-projections and quasi-unitaries, the comparison map from a
+quasi-projection to an exact projection, class representatives, homotopy
+certificates, and the (lambda, h) parameter bookkeeping.
 
 A self-adjoint p with ||p^2 - p|| < eps and propagation < r is an
 (eps, r)-quasi-projection; u with ||u*u - 1|| < eps, ||uu* - 1|| < eps and
@@ -111,10 +111,6 @@ def is_quasi_projection(p, params, tau=DEFAULT_TAU):
     return is_quasi(p, "even", params, tau)
 
 
-def is_quasi_unitary(u, params, tau=DEFAULT_TAU):
-    return is_quasi(u, "odd", params, tau)
-
-
 def require_quasi(x, parity, params, tau=DEFAULT_TAU):
     """Raise DomainError unless ``x`` passes its quasi-test."""
     ok, wit = is_quasi(x, parity, params, tau)
@@ -185,26 +181,6 @@ def kappa_even(p, eps=None, band_tol=1e-9):
     proj = (proj + proj.conj().T) / 2
     scalar = None if p.scalar is None else (np.real(p.scalar) >= 0.5).astype(complex)
     return FiniteOperator.from_concrete(p.space, proj, p.amplification, scalar)
-
-
-def kappa_odd(u):
-    """Exact unitary u (u*u)^{-1/2} from a quasi-unitary.
-
-    The eigenvalues of u*u are the squared singular values, shared by uu*,
-    so ``max |lambda - 1| < 1/4`` is the precondition on both unitary
-    defects, and it keeps every eigenvalue above 3/4."""
-    m = u.concrete()
-    gram = m.conj().T @ m
-    lam, q = np.linalg.eigh((gram + gram.conj().T) / 2)
-    defect = float(np.abs(lam - 1.0).max(initial=0.0))
-    if defect >= 0.25:
-        raise DomainError(f"unitary defect {defect} not below 1/4")
-    inv_sqrt = (q / np.sqrt(lam)) @ q.conj().T
-    out = m @ inv_sqrt
-    if max(unitary_defects(out)) > 1e-12:
-        raise VerificationFailure("polar factor is not unitary to 1e-12")
-    scalar = None if u.scalar is None else u.scalar / np.abs(u.scalar)
-    return FiniteOperator.from_concrete(u.space, out, u.amplification, scalar)
 
 
 def chi_rank(p):
@@ -341,47 +317,6 @@ def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TA
     if not ok:
         raise CertificateError(
             f"interpolation fails verification at {report['failures'][0]}")
-    return cert
-
-
-def resample_certificate(path, eps, r=None, parity="even", replacements=None,
-                         tau=DEFAULT_TAU):
-    """Piecewise-linear certificate through (2 eps, r)-quasi-elements.
-
-    Consecutive input samples must be within eps/15 in norm; optional
-    replacements (propagation-trimmed substitutes) must sit within eps/20
-    of the samples they replace.  r defaults to just above the largest
-    measured propagation.  The output is judged; a step that cannot meet
-    the perturbation margin raises with its index.
-    """
-    if not path:
-        raise CertificateError("empty path")
-    if not 0 < 2 * eps < 0.25:
-        raise DomainError("eps must lie in (0, 1/8) so the doubled level is valid")
-    samples = path = list(path)
-    if replacements is not None:
-        if len(replacements) != len(path):
-            raise CertificateError("one replacement per sample required")
-        for i, (orig, rep) in enumerate(zip(path, replacements)):
-            d = opnorm(orig - rep)
-            if d > eps / 20:
-                raise CertificateError(
-                    f"replacement {i} is {d} away; needs <= eps/20 = {eps / 20}")
-        samples = list(replacements)
-    gaps = step_norms(path)
-    for i, d in enumerate(gaps):
-        if d > eps / 15:
-            raise CertificateError(
-                f"step {i} too coarse: {d} > eps/15 = {eps / 15}; refine there")
-    measured = measure_samples(samples, parity, tau)
-    if r is None:
-        r = max(m["propagation"] for m in measured) * (1 + 1e-9) + 1e-15
-    steps = gaps if replacements is None else step_norms(samples)
-    cert = HomotopyCertificate(parity, samples, QuasiParams(2 * eps, r), steps)
-    ok, report = judge_certificate(cert, measured, steps)
-    if not ok:
-        raise CertificateError(
-            f"resampled path fails verification at {report['failures'][0]}")
     return cert
 
 

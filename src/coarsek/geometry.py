@@ -115,10 +115,20 @@ def cycle_complex(k):
 class SamplePoint:
     """A point of the geometric realization, tagged by the face that carries
     it (the minimal simplex containing it) and its barycentric coordinates
-    on that face."""
+    on that face: one finite positive coordinate per carrier vertex, and no
+    vertex twice.  That is the rule for a sample, which its file can hold."""
 
     carrier: tuple
     coords: tuple
+
+    def __post_init__(self):
+        if len(set(self.carrier)) != len(self.carrier):
+            raise DomainError(f"carrier {self.carrier} repeats a vertex")
+        if len(self.coords) != len(self.carrier):
+            raise DomainError(f"{len(self.coords)} coordinates for "
+                              f"{len(self.carrier)} carrier vertices")
+        if not all(0 < c < math.inf for c in self.coords):
+            raise DomainError(f"coordinates {self.coords} are not finite and positive")
 
     @property
     def dim(self):
@@ -205,15 +215,6 @@ class SampledSpace:
                     f"triangle inequality fails: d({i},{j})={d[i, j]} "
                     f"> d({i},{k})+d({k},{j})={via[i, j]}")
         return True
-
-    def subspace(self, mask, internal_dims=None):
-        """Restriction to the masked points (optionally shrinking fibers)."""
-        mask = np.asarray(mask, dtype=bool)
-        idx = np.flatnonzero(mask)
-        dims = self.internal_dims[idx] if internal_dims is None \
-            else np.asarray(internal_dims, dtype=int)
-        pts = [self.points[i] for i in idx]
-        return SampledSpace(pts, self.dist[np.ix_(idx, idx)], dims, mesh=self.mesh), idx
 
     def __repr__(self):
         return (f"SampledSpace({len(self)} points, total fiber dim "
@@ -396,15 +397,6 @@ def simplex_center(complex_, simplex):
     return SamplePoint(key, tuple(1.0 / k for _ in key))
 
 
-def center_sample_index(space, complex_, simplex):
-    """Index of the sample sitting at a simplex center (discretize adds one)."""
-    c = simplex_center(complex_, simplex)
-    for i, p in enumerate(space.points):
-        if p.carrier == c.carrier and np.allclose(p.coords, c.coords, atol=1e-12):
-            return i
-    raise UnknownSimplexError(f"no sample at center of {simplex}")
-
-
 def center_distances(space, complex_, simplex):
     """Distance from every sample lying on ``simplex`` (a simplex of
     ``complex_``) to its center.
@@ -439,62 +431,6 @@ def decompose(space, complex_):
         x1 |= d <= INNER_THRESHOLD
         x2 |= np.isfinite(d) & (d >= OUTER_THRESHOLD)
     return x1, x2
-
-
-def retract_onto_pieces(space, complex_, mask, kind):
-    """Target sample per masked sample for the two piece retractions.
-
-    ``cluster-to-centers`` sends a sample to the center sample of its
-    nearest top simplex.  ``collapse-to-skeleton`` projects radially away
-    from that center onto the boundary and snaps to the nearest sample
-    carried by a proper face; samples already on the skeleton stay put.
-    Entries outside the mask are -1.
-    """
-    if kind not in ("cluster-to-centers", "collapse-to-skeleton"):
-        raise DomainError(f"unknown retraction kind {kind!r}")
-    mask = np.asarray(mask, dtype=bool)
-    n = complex_.dimension
-    tops = complex_.top_simplices()
-    cdists = {s: center_distances(space, complex_, s) for s in tops}
-    centers = {s: center_sample_index(space, complex_, s) for s in tops}
-    skeleton = np.array([p.dim < n for p in space.points])
-    rims = {}  # per top simplex: the ids and unit vectors of its skeleton samples
-
-    out = np.full(len(space), -1, dtype=int)
-    for i in np.flatnonzero(mask):
-        by_center = sorted(tops, key=lambda s: (cdists[s][i], s))
-        home = by_center[0]
-        if not math.isfinite(cdists[home][i]):
-            raise DomainError(f"sample {i} lies on no top simplex")
-        if kind == "cluster-to-centers":
-            out[i] = centers[home]
-            continue
-        p = space.points[i]
-        if p.dim < n:
-            out[i] = i
-            continue
-        if home not in rims:
-            ids, vecs = _on_simplex(space.points, home)
-            rims[home] = ids[skeleton[ids]], vecs[skeleton[ids]]
-        out[i] = _radial_boundary_snap(p.embed(home), *rims[home])
-    return out
-
-
-def _radial_boundary_snap(b, ids, vecs):
-    """The first of the samples ``ids``, with unit barycentric vectors
-    ``vecs``, at the least arc from where the ray from the simplex center
-    through ``b`` leaves the simplex."""
-    k = len(b)
-    c = np.full(k, 1.0 / k)
-    if np.allclose(b, c, atol=1e-12):
-        raise DomainError("center sample has no radial direction")
-    ray = b - c
-    with np.errstate(divide="ignore"):
-        ts = np.where(ray < 0, c / -ray, np.inf)
-    boundary = np.clip(c + ts.min() * ray, 0.0, None)
-    if not len(ids):
-        raise DomainError("no skeleton sample available on the carrier simplex")
-    return int(ids[np.argmin(_arcs(vecs, boundary[None] / np.linalg.norm(boundary))[:, 0])])
 
 
 def cyclic_order(space, complex_):

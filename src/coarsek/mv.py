@@ -38,7 +38,6 @@ from .operator import (
     lift,
     opnorm,
     restrict,
-    support,
 )
 
 MARGIN = 1 / 10  # neighborhood width of a decomposition's regions, before scale
@@ -129,34 +128,6 @@ class MvPair:
         x1, x2 = decompose(space, complex_)
         return cls(x1, x2, neighborhood(space, x1, MARGIN),
                    neighborhood(space, x2, MARGIN), r)
-
-
-def neighborhood_containment(space, delta_mask, a_mask, r, trials=20, seed=0,
-                             amplification=1, tau=DEFAULT_TAU):
-    """Randomized check that band-limited multiples of region-supported
-    operators stay supported in the enlarged neighborhood.
-
-    Draws a, a' with propagation below 5r and d supported in the region,
-    and scans the supports of a d, d a, and a d a' against the
-    neighborhood; violating point pairs are reported, not raised.
-    """
-    delta_mask = np.asarray(delta_mask, dtype=bool)
-    a_mask = np.asarray(a_mask, dtype=bool)
-    outside = ~a_mask
-    violations = []
-    for t, rng in enumerate(trial_rngs(seed, trials)):
-        a = random_banded(space, 5 * r, rng, amplification)
-        a2 = random_banded(space, 5 * r, rng, amplification)
-        d = random_region_supported(space, delta_mask, rng, amplification)
-        for label, prod in (("a*d", a @ d), ("d*a", d @ a), ("a*d*a'", a @ d @ a2)):
-            sup = support(prod, tau)
-            bad = sup & (np.outer(outside, np.ones_like(outside))
-                         | np.outer(np.ones_like(outside), outside))
-            if bad.any():
-                yx = tuple(int(v) for v in np.argwhere(bad)[0])
-                violations.append({"trial": t, "product": label, "pair": yx})
-    return {"trials": trials, "radius": r, "violations": violations,
-            "passed": not violations}
 
 
 def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,

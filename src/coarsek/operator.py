@@ -146,12 +146,6 @@ class FiniteOperator:
     def with_scalar(self, scalar):
         return FiniteOperator(self.space, self.entries, self.amplification, scalar)
 
-    def block(self, y, x):
-        """The (k*d_y, k*d_x) submatrix of the concrete operator at a point pair."""
-        rows = coordinates_of(self.space, self.amplification, [y])
-        cols = coordinates_of(self.space, self.amplification, [x])
-        return self.concrete()[np.ix_(rows, cols)]
-
     # -- algebra -----------------------------------------------------------
 
     def _require_compatible(self, other):
@@ -206,12 +200,11 @@ class FiniteOperator:
     H = property(adjoint)
 
 
-def coordinates_of(space, amplification, points, dims=None):
-    """Copy-major coordinates of the leading ``dims[i]`` (default: all)
-    fiber coordinates of each listed point, copy 0 first and points in the
-    given order within each copy."""
+def coordinates_of(space, amplification, points):
+    """Copy-major coordinates of the fibers of the listed points, copy 0
+    first and points in the given order within each copy."""
     points = np.asarray(points, dtype=int)
-    d = (space.internal_dims if dims is None else np.asarray(dims))[points]
+    d = space.internal_dims[points]
     starts = np.cumsum(d) - d  # where each point's run begins within a copy
     one_copy = np.arange(d.sum()) + np.repeat(space.offsets[points] - starts, d)
     copies = np.arange(amplification)[:, None] * space.total_dim
@@ -489,11 +482,6 @@ def support(op, tau=DEFAULT_TAU):
     return block_abs_max(op) > tau
 
 
-def support_pairs(op, tau=DEFAULT_TAU):
-    m = support(op, tau)
-    return {(int(y), int(x)) for y, x in np.argwhere(m)}
-
-
 def propagation(op, tau=DEFAULT_TAU):
     """Largest distance over the support; 0 for empty support, inf across
     components."""
@@ -527,32 +515,6 @@ def restrict(op, rows, cols):
         return op
     cut = op.concrete() * lift(op.space, op.amplification, np.outer(rows, cols))
     return FiniteOperator._owning(op.space, cut, op.amplification)
-
-
-def compress(op, keep_points, keep_dims=None):
-    """Q T Q for the projection onto kept points and leading fiber
-    coordinates; the result lives on the corresponding sub-space."""
-    keep_points = np.asarray(keep_points, dtype=bool)
-    dims = op.space.internal_dims if keep_dims is None \
-        else np.asarray(keep_dims, dtype=int)
-    if (dims > op.space.internal_dims).any():
-        raise DomainError("keep_dims exceeds a fiber dimension")
-    if (dims[keep_points] < 1).any():
-        raise DomainError("kept points need at least one fiber coordinate")
-    if keep_points.all() and (dims == op.space.internal_dims).all():
-        return op
-    sub, idx = op.space.subspace(keep_points, internal_dims=dims[keep_points])
-    coords = coordinates_of(op.space, op.amplification, idx, dims)
-    cut = op.entries[np.ix_(coords, coords)]
-    return FiniteOperator(sub, cut, op.amplification, op.scalar)
-
-
-def fiber_projection(space, amplification, keep_points, keep_dims=None):
-    """Concrete 0/1 diagonal of the compression projection Q on the big space."""
-    kept = np.flatnonzero(np.asarray(keep_points, dtype=bool))
-    diag = np.zeros(amplification * space.total_dim, dtype=complex)
-    diag[coordinates_of(space, amplification, kept, keep_dims)] = 1.0
-    return np.diag(diag)
 
 
 def direct_sum(ops):

@@ -25,7 +25,6 @@ allocates from a header count before the lines it announces are read.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
 import warnings
@@ -251,17 +250,11 @@ def _mesh(text):
 
 
 def _sample(line):
-    """``id carrier coords dim`` -> (id, SamplePoint, dim); a sample has one
-    finite positive coordinate per carrier vertex, and no vertex twice."""
+    """``id carrier coords dim`` -> (id, SamplePoint, dim); ``SamplePoint``
+    refuses a sample its rule does not admit."""
     idx, carrier, coords, d = line.split()
     carrier = tuple(int(v) for v in carrier.split(","))
     coords = tuple(float(c) for c in coords.split(","))
-    if len(set(carrier)) != len(carrier):
-        raise ValueError(f"carrier {carrier} repeats a vertex")
-    if len(coords) != len(carrier):
-        raise ValueError(f"{len(coords)} coordinates for {len(carrier)} carrier vertices")
-    if not all(0 < c < math.inf for c in coords):
-        raise ValueError(f"coordinates {coords} are not finite and positive")
     return int(idx), SamplePoint(carrier, coords), int(d)
 
 

@@ -22,7 +22,7 @@ from coarsek.coarse import (
 )
 from coarsek.controlled import (
     QuasiParams,
-    is_quasi_unitary,
+    is_quasi,
     measure_samples,
     projection_defect,
     verify_certificate,
@@ -224,7 +224,7 @@ class TestAd:
         u = phase_unitary(edge_fine, angles)
         out = ad(v, u)
         assert out.scalar is not None
-        ok, wit = is_quasi_unitary(out, QuasiParams(0.01, 0.5))
+        ok, wit = is_quasi(out, "odd", QuasiParams(0.01, 0.5))
         assert ok, wit
 
 

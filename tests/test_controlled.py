@@ -20,16 +20,13 @@ from coarsek.controlled import (
     interpolation_certificate,
     is_quasi,
     is_quasi_projection,
-    is_quasi_unitary,
     k0_points,
     kappa_even,
-    kappa_odd,
     judge_certificate,
     measure,
     perturb_bound,
     projection_defect,
     relaxed_params,
-    resample_certificate,
     scalar_rank,
     spectral_band_radius,
     stabilize,
@@ -109,7 +106,7 @@ class TestQuasiTests:
 
     def test_identity_is_quasi_unitary(self, pt2):
         one = FiniteOperator.identity(pt2, unitized=True)
-        assert is_quasi_unitary(one, QuasiParams(0.01, 0.5))[0]
+        assert is_quasi(one, "odd", QuasiParams(0.01, 0.5))[0]
 
     def test_shift_on_circle(self, small_circle):
         _, space, order = small_circle
@@ -117,14 +114,14 @@ class TestQuasiTests:
         spacing = space.dist[order[0], order[1]]
         assert max(unitary_defects(u)) <= 1e-12
         assert propagation(u) == pytest.approx(spacing)
-        assert is_quasi_unitary(u, QuasiParams(0.01, spacing * 1.01))[0]
-        assert not is_quasi_unitary(u, QuasiParams(0.01, spacing * 0.99))[0]
+        assert is_quasi(u, "odd", QuasiParams(0.01, spacing * 1.01))[0]
+        assert not is_quasi(u, "odd", QuasiParams(0.01, spacing * 0.99))[0]
 
     def test_half_identity_fails(self, pt2):
         u = 0.5 * FiniteOperator.identity(pt2, unitized=False)
-        _, wit = is_quasi_unitary(u, QuasiParams(0.2, 1.0))
+        _, wit = is_quasi(u, "odd", QuasiParams(0.2, 1.0))
         assert wit["left_defect"] == pytest.approx(0.75)
-        assert not is_quasi_unitary(u, QuasiParams(0.2, 1.0))[0]
+        assert not is_quasi(u, "odd", QuasiParams(0.2, 1.0))[0]
 
 
 class TestPerturbBound:
@@ -195,38 +192,6 @@ class TestKappa:
         p = FiniteOperator(pt2, (q[:, :1] @ q[:, :1].conj().T) + 0.05 * np.eye(2))
         out = kappa_even(p).concrete()
         assert opnorm(out @ out - out) <= 1e-12
-
-    def test_kappa_odd_fixes_unitaries(self, pt2, rng):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, _ = np.linalg.qr(z)
-        u = FiniteOperator(pt2, q)
-        assert np.allclose(kappa_odd(u).concrete(), q)
-
-    def test_kappa_odd_rescales(self, pt2):
-        u = 1.1 * FiniteOperator.identity(pt2, unitized=False)
-        assert np.allclose(kappa_odd(u).concrete(), np.eye(2))
-
-    @pytest.mark.parametrize("diag", [[0.8, 0.8], [1.0, 1.2], [0.5, 1.0]])
-    def test_kappa_odd_rejects_a_quarter_defect(self, pt2, diag):
-        # |sigma^2 - 1| = 0.36, 0.44 and 0.75
-        u = diag_op(pt2, diag)
-        assert max(unitary_defects(u)) >= 0.25
-        with pytest.raises(DomainError, match="not below 1/4"):
-            kappa_odd(u)
-
-    def test_kappa_odd_distance_bound(self, pt2, rng):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, _ = np.linalg.qr(z)
-        noise = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        u_mat = q + 0.05 * noise / opnorm(noise)
-        u = FiniteOperator(pt2, u_mat)
-        assert max(unitary_defects(u)) < 0.25
-        out = kappa_odd(u)
-        gram = u_mat.conj().T @ u_mat
-        lam, qq = np.linalg.eigh((gram + gram.conj().T) / 2)
-        inv_sqrt = (qq / np.sqrt(lam)) @ qq.conj().T
-        bound = opnorm(inv_sqrt - np.eye(2)) * opnorm(u)
-        assert opnorm(out - u) <= bound + 1e-9
 
 
 class TestK0Points:
@@ -331,34 +296,6 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             interpolation_certificate(a, b, QuasiParams(0.2, 1.0))
 
-    def test_constant_path_resample(self, pt2):
-        p = diag_op(pt2, [1.0, 0.0])
-        cert = resample_certificate([p, p], eps=0.1)
-        assert len(cert) == 2
-        assert verify_certificate(cert)[0]
-
-    def test_rotation_path_resample(self, pt2):
-        p = diag_op(pt2, [1.0, 0.0])
-        eps = 0.1
-        # conjugation path: step angle chosen so ||delta|| <= eps/15
-        steps = math.ceil(math.pi / 2 / (eps / 15) * 1.2)
-        path = []
-        for t in np.linspace(0, math.pi / 2, steps):
-            c, s = math.cos(t), math.sin(t)
-            u = np.array([[c, -s], [s, c]], dtype=complex)
-            path.append(FiniteOperator(pt2, u @ p.entries @ u.conj().T))
-        gaps = [opnorm(b - a) for a, b in zip(path, path[1:])]
-        assert max(gaps) <= eps / 15
-        cert = resample_certificate(path, eps=eps)
-        assert verify_certificate(cert)[0]
-
-    def test_jump_rejected(self, pt2):
-        p = diag_op(pt2, [1.0, 0.0])
-        q = FiniteOperator(pt2, p.entries + np.diag([0.3, 0.0]))
-        with pytest.raises(CertificateError) as err:
-            resample_certificate([p, q, q], eps=0.1)
-        assert "step 0" in str(err.value)
-
     def test_bad_propagation_reported(self):
         d = np.array([[0.0, 5.0], [5.0, 0.0]])
         s = SampledSpace.from_distance_matrix(d)
@@ -382,25 +319,6 @@ class TestCertificates:
         p = FiniteOperator(s, np.full((2, 2), 0.5, dtype=complex))
         with pytest.raises(CertificateError, match="propagation"):
             interpolation_certificate(p, p, QuasiParams(0.2, 1.0))
-
-    @pytest.mark.parametrize("trimmed", [False, True])
-    def test_resample_is_judged_as_the_verifier_judges(self, pt2, judged,
-                                                       trimmed):
-        path = []
-        for t in np.linspace(0, 0.3, 60):
-            c, s = math.cos(t), math.sin(t)
-            u = np.array([[c, -s], [s, c]], dtype=complex)
-            path.append(FiniteOperator(pt2, u @ np.diag([1.0, 0.0]) @ u.T))
-        replacements = None
-        if trimmed:
-            nudge = np.diag([0.001, 0.0]).astype(complex)
-            replacements = [FiniteOperator(pt2, x.entries + nudge) for x in path]
-        cert = resample_certificate(path, eps=0.1, replacements=replacements)
-        built = judged[-1]
-        assert_same_report(built, verify_certificate(cert)[1])
-        if not trimmed:
-            assert cert.step_bounds == [opnorm(b - a)
-                                        for a, b in zip(path, path[1:])]
 
     def test_halved_step_bound_is_caught(self, pt2):
         p = diag_op(pt2, [1.0, 0.0])
@@ -548,7 +466,7 @@ def test_random_quasi_unitary_meets_declared_level():
     params = QuasiParams(0.05, 0.5)
     for rng in trial_rngs(8, 10):
         u = random_quasi_unitary(space, params, rng)
-        ok, wit = is_quasi_unitary(u, params)
+        ok, wit = is_quasi(u, "odd", params)
         assert ok, wit
 
 
@@ -630,7 +548,7 @@ class TestOneRule:
         left, right = unitary_defects(u)
         prop = propagation(u)
         params = QuasiParams(max(left, right) * eps_factor, prop * r_factor)
-        ok, wit = is_quasi_unitary(u, params)
+        ok, wit = is_quasi(u, "odd", params)
         assert ok == self.one_sample_verdict(u, "odd", params)
         assert ok == (left < params.eps and right < params.eps
                       and prop < params.r)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,15 +20,14 @@ from coarsek.errors import (
 from coarsek.geometry import (
     EDGE_LENGTH,
     SampledSpace,
+    SamplePoint,
     build_complex,
     center_distances,
-    center_sample_index,
     cycle_complex,
     cyclic_order,
     decompose,
     discretize,
     neighborhood,
-    retract_onto_pieces,
     simplex_center,
 )
 from coarsek.serialize import dumps_space, loads_space, space_hash
@@ -53,6 +53,12 @@ def pairwise_arc(b1, b2):
     v1, v2 = np.asarray(b1, float), np.asarray(b2, float)
     ip = float(v1 @ v2) / (np.linalg.norm(v1) * np.linalg.norm(v2))
     return math.acos(min(1.0, max(-1.0, ip)))
+
+
+def center_index(space, simplex):
+    # the sample discretize adds at the center of a simplex
+    return next(i for i, p in enumerate(space.points) if p.carrier == simplex
+                and np.allclose(p.coords, 1 / len(simplex), rtol=0, atol=1e-12))
 
 
 # near arc 0, arccos turns an inner product a few roundings off into an
@@ -186,7 +192,7 @@ class TestNeighborhood:
 class TestDecompose:
     def test_center_sample_only_in_x1(self, edge_complex, edge_space):
         x1, x2 = decompose(edge_space, edge_complex)
-        c = center_sample_index(edge_space, edge_complex, (0, 1))
+        c = center_index(edge_space, (0, 1))
         assert x1[c] and not x2[c]
 
     def test_band_lies_in_both(self):
@@ -256,83 +262,6 @@ class TestSimplexCenter:
             simplex_center(triangle_complex, (0, 3))
 
 
-class TestRetract:
-    def test_center_fixed_by_clustering(self, edge_complex, edge_space):
-        x1, _ = decompose(edge_space, edge_complex)
-        mask = neighborhood(edge_space, x1, 1 / 10)
-        table = retract_onto_pieces(edge_space, edge_complex, mask,
-                                    "cluster-to-centers")
-        c = center_sample_index(edge_space, edge_complex, (0, 1))
-        assert table[c] == c
-        # clustering lands on the center of the one edge
-        assert (table[mask] == c).all()
-
-    def test_cluster_displacement_bound(self, edge_complex, edge_space):
-        x1, _ = decompose(edge_space, edge_complex)
-        mask = neighborhood(edge_space, x1, 1 / 10)
-        table = retract_onto_pieces(edge_space, edge_complex, mask,
-                                    "cluster-to-centers")
-        for i in np.flatnonzero(mask):
-            moved = edge_space.dist[i, table[i]]
-            assert moved <= 0.55 + 1 / 10 + edge_space.mesh + 1e-12
-
-    def test_vertex_fixed_by_collapse(self, edge_complex, edge_space):
-        _, x2 = decompose(edge_space, edge_complex)
-        mask = neighborhood(edge_space, x2, 1 / 10)
-        table = retract_onto_pieces(edge_space, edge_complex, mask,
-                                    "collapse-to-skeleton")
-        for i, p in enumerate(edge_space.points):
-            if p.dim == 0 and mask[i]:
-                assert table[i] == i
-
-    def test_half_edge_midpoint_snaps_to_far_vertex(self, edge_complex,
-                                                    edge_space):
-        # (0.25, 0.75) exits the edge through vertex 1: by hand, the ray
-        # from the center (.5, .5) kills the first coordinate at t = 2
-        mask = np.ones(len(edge_space), dtype=bool)
-        center = center_sample_index(edge_space, edge_complex, (0, 1))
-        mask[center] = False
-        table = retract_onto_pieces(edge_space, edge_complex, mask,
-                                    "collapse-to-skeleton")
-        idx = next(i for i, p in enumerate(edge_space.points)
-                   if p.carrier == (0, 1) and p.coords == (0.25, 0.75))
-        vertex1 = next(i for i, p in enumerate(edge_space.points)
-                       if p.carrier == (1,))
-        assert table[idx] == vertex1
-
-    @pytest.mark.parametrize("maximal, mesh", ARC_CASES)
-    def test_collapse_snaps_to_a_nearest_skeleton_sample(self, maximal, mesh):
-        x = build_complex(maximal)
-        s = discretize(x, mesh)
-        tops = x.top_simplices()
-        mask = np.array([p.dim == x.dimension for p in s.points])
-        for top in tops:
-            mask[center_sample_index(s, x, top)] = False
-        table = retract_onto_pieces(s, x, mask, "collapse-to-skeleton")
-        for i in np.flatnonzero(mask):
-            home = min(tops, key=lambda t: (center_distances(s, x, t)[i], t))
-            b, c = s.points[i].embed(home), np.full(len(home), 1 / len(home))
-            ray = b - c
-            exit_point = c + min(-c[ray < 0] / ray[ray < 0]) * ray
-            arcs = {j: pairwise_arc(exit_point, q.embed(home))
-                    for j, q in enumerate(s.points)
-                    if q.dim < x.dimension and set(q.carrier) <= set(home)}
-            assert table[i] in arcs
-            assert arcs[table[i]] <= min(arcs.values()) + ARC_TOL
-
-    def test_outside_mask_untouched(self, edge_complex, edge_space):
-        mask = np.zeros(len(edge_space), dtype=bool)
-        mask[0] = True
-        table = retract_onto_pieces(edge_space, edge_complex, mask,
-                                    "cluster-to-centers")
-        assert (table[~mask] == -1).all()
-
-    def test_unknown_kind(self, edge_complex, edge_space):
-        with pytest.raises(DomainError):
-            retract_onto_pieces(edge_space, edge_complex,
-                                np.ones(len(edge_space), dtype=bool), "fold")
-
-
 class TestCircle:
     def test_cycle_needs_three(self):
         with pytest.raises(MalformedInputError):
@@ -370,7 +299,7 @@ def test_mixed_dimension_complex_decomposition():
     for i, p in enumerate(s.points):
         if p.dim < 2:
             assert x2[i]
-    triangle_center = center_sample_index(s, x, (0, 1, 2))
+    triangle_center = center_index(s, (0, 1, 2))
     assert x1[triangle_center] and not x2[triangle_center]
     isolated = next(i for i, p in enumerate(s.points) if p.carrier == (9,))
     assert np.isinf(s.dist[isolated, triangle_center])
@@ -396,6 +325,22 @@ def test_mesh_is_read_only_and_hashed_as_dumped():
         s.mesh = 0.25
     assert s.mesh == 0.5
     assert space_hash(s) == digest == space_hash(loads_space(dumps_space(s)))
+
+
+@pytest.mark.parametrize("carrier, coords, message", [
+    ((0, 0), (0.5, 0.5), "carrier (0, 0) repeats a vertex"),
+    ((0, 1), (1.0,), "1 coordinates for 2 carrier vertices"),
+    ((0,), (0.0,), "coordinates (0.0,) are not finite and positive"),
+])
+def test_sample_rule_is_the_readers(carrier, coords, message):
+    # no space holds a sample that its file, once written, could not hold
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SamplePoint(carrier, coords)
+    text = dumps_space(SampledSpace([SamplePoint((0,), (1.0,))], np.zeros((1, 1)), [1]))
+    sample = f"0 {','.join(map(str, carrier))} {','.join(map(str, coords))} 1"
+    assert "\n0 0 1 1\n" in text
+    with pytest.raises(MalformedInputError, match=f"^line 4: {re.escape(message)}$"):
+        loads_space(text.replace("\n0 0 1 1\n", f"\n{sample}\n"))
 
 
 def test_asymmetry_is_judged_absolutely():

@@ -26,7 +26,6 @@ from coarsek.mv import (
     clutching_projection,
     coercive_split,
     local_index,
-    neighborhood_containment,
     split_masks,
     verify_weak_mv_pair,
 )
@@ -132,43 +131,6 @@ class TestCiaMidpoint:
         bad = random_region_supported(space, sig[2], rng)
         with pytest.raises(PropagationError):
             cia_midpoint(bad, bad, sig, 1.0)
-
-
-class TestNeighborhoodContainment:
-    def test_whole_space_always_passes(self, circle_fine):
-        cx, space, _ = circle_fine
-        x1, _ = decompose(space, cx)
-        rep = neighborhood_containment(space, x1, np.ones(len(space), bool),
-                                       1 / 50, trials=5, seed=3)
-        assert rep["passed"]
-
-    def test_enlarged_neighborhood_contains_products(self, circle_fine):
-        # products stretch supports by < 5r per side, and 5r = 1/10 exactly,
-        # so the closed 1/10-neighborhood absorbs them
-        cx, space, _ = circle_fine
-        x1, _ = decompose(space, cx)
-        a1 = neighborhood(space, x1, 1 / 10)
-        rep = neighborhood_containment(space, x1, a1, 1 / 50, trials=10, seed=4)
-        assert rep["passed"]
-
-    def test_shrunken_neighborhood_violates(self, circle_fine):
-        # the geometric margin: against a 1/20-neighborhood the same
-        # products leak, and the report shows where
-        cx, space, _ = circle_fine
-        x1, _ = decompose(space, cx)
-        small = neighborhood(space, x1, 1 / 20)
-        rep = neighborhood_containment(space, x1, small, 1 / 50, trials=10,
-                                       seed=4)
-        assert not rep["passed"]
-        y, x = rep["violations"][0]["pair"]
-        assert not small[y] or not small[x]
-
-    def test_zero_region_vacuous(self, circle_fine):
-        cx, space, _ = circle_fine
-        empty = np.zeros(len(space), dtype=bool)
-        rep = neighborhood_containment(space, empty, empty, 1 / 50, trials=3,
-                                       seed=0)
-        assert rep["passed"]
 
 
 class TestWeakMvPair:

@@ -14,17 +14,14 @@ from coarsek.geometry import SampledSpace, build_complex, circle_space, discreti
 from coarsek.operator import (
     FiniteOperator,
     block_abs_max,
-    compress,
     coordinates_of,
     direct_sum,
-    fiber_projection,
     lift,
     opnorm,
     product_tau,
     propagation,
     restrict,
     support,
-    support_pairs,
 )
 
 
@@ -85,7 +82,7 @@ class TestSupport:
 
     def test_single_entry(self, line3):
         t = place_block(line3, 1, 2, 1)
-        assert support_pairs(t) == {(2, 1)}
+        assert np.argwhere(support(t)).tolist() == [[2, 1]]
 
     def test_adjoint_support_is_exact_transpose(self, line3, rng):
         t = random_banded(line3, 1.5, rng)
@@ -274,55 +271,7 @@ def fat_space():
     return SampledSpace.from_distance_matrix(d, internal_dims=[2, 3, 1, 2])
 
 
-class TestCompress:
-    def test_full_mask_full_dims(self, fat_space, rng):
-        t = random_banded(fat_space, 2.0, rng)
-        assert compress(t, np.ones(4, bool)) is t
-
-    def test_projection_supported_on_kept_coords_survives(self, fat_space):
-        keep = np.array([True, True, False, False])
-        dims = np.array([2, 2, 1, 2])
-        q = fiber_projection(fat_space, 1, keep, dims)
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(int(q.diagonal().real.sum()))
-        v /= np.linalg.norm(v)
-        full = np.zeros((fat_space.total_dim, fat_space.total_dim), complex)
-        coords = np.flatnonzero(q.diagonal().real > 0.5)
-        full[np.ix_(coords, coords)] = np.outer(v, v.conj())
-        p = FiniteOperator(fat_space, full)
-        small = compress(p, keep, dims)
-        assert opnorm(small) == pytest.approx(1.0)
-        back = np.zeros_like(full)
-        back[np.ix_(coords, coords)] = small.entries
-        assert np.allclose(back, full)
-
-    def test_qpq_distance_controls_defect(self, fat_space, rng):
-        # ||p - QpQ|| = delta keeps the compression a (eps + 5 delta)-almost
-        # projection; checked downstream by the quasi-test machinery
-        from coarsek.controlled import projection_defect
-        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        q, _ = np.linalg.qr(z)
-        p_mat = (q[:, :3] @ q[:, :3].conj().T)
-        p = FiniteOperator(fat_space, p_mat)
-        keep = np.array([True, True, True, False])
-        qproj = fiber_projection(fat_space, 1, keep)
-        delta = opnorm(p_mat - qproj @ p_mat @ qproj)
-        small = compress(p, keep)
-        assert projection_defect(small) <= projection_defect(p) + 5 * delta + 1e-9
-
-    def test_dims_checked(self, fat_space):
-        with pytest.raises(DomainError):
-            compress(FiniteOperator.zeros(fat_space), np.ones(4, bool),
-                     np.array([3, 3, 1, 2]))
-
-
 class TestLayout:
-    def test_block_accessor(self, line3):
-        t = place_block(line3, 2, 2, 0, value=5.0)
-        blk = t.block(2, 0)
-        assert blk.shape == (2, 2)
-        assert blk[0, 0] == 5.0
-
     def test_direct_sum_concrete(self, line3, rng):
         a = random_banded(line3, 2.0, rng)
         b = FiniteOperator.identity(line3, unitized=True)
@@ -340,22 +289,12 @@ class TestLayout:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("points", [[], [2], [3, 0, 1], [0, 1, 2, 3]])
     def test_copy_major_coordinates(self, fat_space, k, points):
-        dims = np.array([1, 3, 0, 2])
         D = fat_space.total_dim
-        for d in (None, dims):
-            width = fat_space.internal_dims if d is None else d
-            want = [a * D + fat_space.offsets[i] + f
-                    for a in range(k) for i in points for f in range(width[i])]
-            got = coordinates_of(fat_space, k, points, d)
-            assert got.dtype.kind == "i"
-            assert got.tolist() == want
-
-    def test_fiber_projection_marks_kept_coordinates(self, fat_space):
-        q = fiber_projection(fat_space, 2, [True, False, False, True],
-                             [1, 3, 1, 2])
-        kept = np.flatnonzero(q.diagonal().real)
-        assert kept.tolist() == [0, 6, 7, 8, 14, 15]
-        assert q.dtype == complex
+        want = [a * D + fat_space.offsets[i] + f for a in range(k) for i in points
+                for f in range(fat_space.internal_dims[i])]
+        got = coordinates_of(fat_space, k, points)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want
 
 
 # -- oracles: the layout spelled out by hand, as it was before ``lift``,
