@@ -22,7 +22,6 @@ from .errors import CoarsekError, MalformedInputError, VerificationFailure
 from .geometry import discretize
 from .operator import opnorm, propagation, support
 
-# Each knob's flag and config value take the type of its default (steps: int).
 KNOB_DEFAULTS = {
     "epsilon": 0.1,
     "r": 0.25,
@@ -37,6 +36,12 @@ KNOB_DEFAULTS = {
     "out": ".",
 }
 CHOICES = {"parity": ("even", "odd")}  # knobs with a closed set of values
+
+
+def _knob_type(key):
+    """The type a knob's flag and config value take: its default's (steps: int)."""
+    default = KNOB_DEFAULTS[key]
+    return int if default is None else type(default)
 
 
 # Exit code of an error: the first row whose type matches.
@@ -179,7 +184,7 @@ def _clutching_index(knobs, space_file, operator_file, cut_file, region_file):
     op = _load_operator(space_file, operator_file)
     phi = mv.CutFunction(_load(serialize.loads_numbers, cut_file))
     region = _load(serialize.loads_numbers, region_file, int) != 0
-    return Outcome({"index": mv.local_index(op, phi, region, knobs["tau"])})
+    return Outcome({"index": mv.local_index(op, phi, region)})
 
 
 def _path_trim(knobs, space_file, path_file):
@@ -221,9 +226,8 @@ def build_parser():
         p = sub.add_parser(name)
         for pos in positional:
             p.add_argument(pos)
-        for key, default in KNOB_DEFAULTS.items():
-            p.add_argument(f"--{key}", type=int if default is None else type(default),
-                           choices=CHOICES.get(key))
+        for key in KNOB_DEFAULTS:
+            p.add_argument(f"--{key}", type=_knob_type(key), choices=CHOICES.get(key))
     rp = sub.add_parser("report", help="merge report files")
     rp.add_argument("inputs", nargs="*")
     rp.add_argument("--out")
@@ -243,9 +247,8 @@ def resolve_knobs(args):
                 if not eq or key not in KNOB_DEFAULTS:
                     raise MalformedInputError(f"config line {ln}: " + (
                         f"unknown key {key!r}" if eq else "expected key = value"))
-                default = KNOB_DEFAULTS[key]
                 try:
-                    knobs[key] = int(float(raw)) if default is None else type(default)(raw)
+                    knobs[key] = _knob_type(key)(raw)
                     if key in CHOICES and knobs[key] not in CHOICES[key]:
                         raise ValueError(raw)
                 except (ValueError, OverflowError) as exc:

@@ -41,6 +41,8 @@ from .operator import (
     point_block_max,
 )
 
+MAX_STEPS = 4096  # the most steps a sampled path certificate may take
+
 
 class CoarseMap:
     """A sample-to-sample map between two sampled spaces."""
@@ -107,11 +109,11 @@ class CoverIsometry:
         if bad:
             raise DomainError(f"support pair {bad[0]} farther than delta from the graph")
 
-    def support_violations(self, tau=DEFAULT_TAU):
-        """Every point pair (y, x) of the support with d(y, f(x)) >= delta,
-        in row-major order."""
+    def support_violations(self):
+        """Every point pair (y, x) of the support (entries above
+        ``DEFAULT_TAU``) with d(y, f(x)) >= delta, in row-major order."""
         src, tgt = self.map.source, self.map.target
-        held = point_block_max(np.abs(self.matrix), tgt, src) > tau
+        held = point_block_max(np.abs(self.matrix), tgt, src) > DEFAULT_TAU
         near = tgt.dist[:, self.map.assignment] < self.delta
         return [(int(y), int(x)) for y, x in np.argwhere(held & ~near)]
 
@@ -192,13 +194,14 @@ def swap_unitary(v, w):
                      [w @ v.conj().T, eye - qy]])
 
 
-def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
-                      max_steps=4096):
+def rotation_homotopy(Vf, Vg, p, params, steps=None, tau=DEFAULT_TAU):
     """Certificate joining diag(V_f p V_f*, 0, 0, 0) to diag(0, V_g p V_g*, 0, 0)
     over 4x amplification, through quasi-projections at (eps, R + 8 delta).
 
-    Both covers must cover the same map at the same delta; R defaults to the
-    measured expansion of the map at the declared propagation level.
+    Both covers must cover the same map at the same delta; R is just above
+    the measured expansion of the map at the declared propagation level.
+    Without ``steps`` the path takes as many as its certificate needs, at
+    most ``MAX_STEPS``.
     """
     if Vf.map is not Vg.map and not np.array_equal(Vf.map.assignment,
                                                    Vg.map.assignment):
@@ -207,11 +210,7 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
         raise DomainError("covers must share delta")
     require_quasi(p, "even", params, tau)
     delta = Vf.delta
-    omega = expansion_function(Vf.map, params.r)
-    if R is None:
-        R = omega * (1 + 1e-12) + 1e-12
-    elif omega >= R:
-        raise DomainError(f"expansion {omega} not below R={R}")
+    R = expansion_function(Vf.map, params.r) * (1 + 1e-12) + 1e-12
     ambient = QuasiParams(params.eps, R + 8 * delta)
 
     tgt = Vf.map.target
@@ -230,17 +229,18 @@ def rotation_homotopy(Vf, Vg, p, params, R=None, steps=None, tau=DEFAULT_TAU,
         out = u_t @ x @ u_t.conj().T
         return FiniteOperator(tgt, (out + out.conj().T) / 2, 4 * k)
 
-    return _certify_path(sample, "even", ambient, steps, tau, max_steps)[0]
+    return _certify_path(sample, "even", ambient, steps, tau)[0]
 
 
-def _certify_path(sample_fn, parity, ambient, steps, tau, max_steps):
+def _certify_path(sample_fn, parity, ambient, steps=None, tau=DEFAULT_TAU):
     """Sample a continuous path finely enough that its certificate passes;
     returns the certificate and the sample measurements it was judged on.
 
     Without an explicit step count the first sampling, at 8 steps, is also
     the probe: its arc length and worst defect fix the step budget the
     perturbation margin allows.  The path is sampled again only when that
-    budget needs more steps or a verdict fails (the count then doubles)."""
+    budget needs more steps or a verdict fails (the count then doubles, up
+    to ``MAX_STEPS``)."""
     probe = steps is None
     n = 8 if probe else steps
     while True:
@@ -255,16 +255,16 @@ def _certify_path(sample_fn, parity, ambient, steps, tau, max_steps):
                 raise CertificateError(
                     f"probe sample defect {worst} already exceeds eps {ambient.eps}")
             n = max(8, math.ceil(sum(bounds) / (1.8 * math.sqrt(margin)) * 1.1))
-            if n > max_steps:
+            if n > MAX_STEPS:
                 raise CertificateError(
-                    f"certificate would need {n} > {max_steps} steps")
+                    f"certificate would need {n} > {MAX_STEPS} steps")
             if n > 8:
                 continue
         cert = HomotopyCertificate(parity, samples, ambient, bounds)
         ok, report = judge_certificate(cert, measured, bounds)
         if ok:
             return cert, measured
-        if steps is not None or n >= max_steps:
+        if steps is not None or n >= MAX_STEPS:
             raise CertificateError(
                 f"path not certifiable at {n} steps: {report['failures'][:3]}")
         n *= 2
@@ -325,8 +325,7 @@ def _dsum2(u):
     return direct_sum([u, pad])
 
 
-def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
-                                    steps=None, max_steps=4096):
+def homotopy_invariance_certificate(F, u, params, delta):
     """Certified path between the transports of a quasi-unitary along the two
     ends of a uniformly Lipschitz homotopy.
 
@@ -344,7 +343,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     if params.eps >= 1 / 84:
         # the conclusion lives at 21 eps, which must stay a valid level
         raise DomainError("homotopy transport needs eps < 1/84")
-    require_quasi(u, "odd", params, tau)
+    require_quasi(u, "odd", params)
     c = F.lipschitz_bound
     idx = partition_homotopy(F, delta)
     maps = [F.frames[i] for i in idx]
@@ -417,8 +416,7 @@ def homotopy_invariance_certificate(F, u, params, delta, tau=DEFAULT_TAU,
     ]
     for stage, fn in stages:
         try:
-            seg, seg_measured = _certify_path(fn, "odd", ambient, steps, tau,
-                                              max_steps)
+            seg, seg_measured = _certify_path(fn, "odd", ambient)
         except (CertificateError, DomainError) as exc:
             raise CertificateError(f"{stage} stage failed: {exc}") from exc
         segs.append(seg)

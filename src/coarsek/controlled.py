@@ -71,7 +71,7 @@ def projection_defect(op, herm=None):
 def defect_and_rank(m):
     """(||m^2 - m||, rank of the spectral projection above 1/2) of a
     Hermitian matrix, both read off one ``spectrum``."""
-    lam, _ = spectrum(m, True)
+    lam = spectrum(m, True)
     return float(np.abs(lam * lam - lam).max(initial=0.0)), int((lam > 0.5).sum())
 
 
@@ -79,8 +79,8 @@ def unitary_defects(op):
     """(||u*u - 1||, ||uu* - 1||), both max |sigma^2 - 1| for a square u (polar
     decomposition); a singular value the split leaves out is 0, so then >= 1."""
     m = op.concrete() if isinstance(op, FiniteOperator) else np.asarray(op)
-    sq, found = spectrum(m, False)
-    d = max(float(np.abs(sq - 1.0).max(initial=0.0)), 1.0 if found < len(m) else 0.0)
+    sq = spectrum(m, False)
+    d = max(float(np.abs(sq - 1.0).max(initial=0.0)), 1.0 if sq.size < len(m) else 0.0)
     return d, d
 
 
@@ -107,8 +107,8 @@ def is_quasi(x, parity, params, tau=DEFAULT_TAU):
     return ok, {**wit, "eps": params.eps, "r": params.r}
 
 
-def is_quasi_projection(p, params, tau=DEFAULT_TAU):
-    return is_quasi(p, "even", params, tau)
+def is_quasi_projection(p, params):
+    return is_quasi(p, "even", params)
 
 
 def require_quasi(x, parity, params, tau=DEFAULT_TAU):
@@ -118,17 +118,17 @@ def require_quasi(x, parity, params, tau=DEFAULT_TAU):
         raise DomainError(f"{parity} quasi-test failed: {wit}")
 
 
-def perturb_bound(p, p_prime, params, tau=DEFAULT_TAU):
+def perturb_bound(p, p_prime, params):
     """Degraded parameters (eps + 5 delta, r) after replacing p by p_prime.
 
     Requires p to be an (eps, r)-quasi-projection, p_prime self-adjoint with
     propagation below r, and delta = ||p - p_prime|| < 1/4.  Asserts the
     bound on p_prime and on nine sampled interpolants before returning.
     """
-    require_quasi(p, "even", params, tau)
+    require_quasi(p, "even", params)
     if herm_defect(p_prime) > HERM_TOL:
         raise DomainError("perturbed operator is not self-adjoint")
-    if propagation(p_prime, tau) >= params.r:
+    if propagation(p_prime) >= params.r:
         raise PropagationError("perturbed operator exceeds the propagation bound")
     delta = opnorm(p - p_prime)
     if delta >= 0.25:
@@ -158,11 +158,12 @@ def forbidden_band(eps):
     return 0.5 - half, 0.5 + half
 
 
-def kappa_even(p, eps=None, band_tol=1e-9):
+def kappa_even(p):
     """Spectral projection chi_[1/2, inf)(p) of a quasi-projection.
 
     Verifies self-adjointness, ||p^2 - p|| < 1/4, and that no eigenvalue
-    falls inside the forbidden band (beyond ``band_tol``) before projecting.
+    falls more than 1e-9 inside the forbidden band of the measured defect
+    before projecting.
     """
     if herm_defect(p) > HERM_TOL:
         raise DomainError("kappa_even needs a self-adjoint operator")
@@ -172,8 +173,8 @@ def kappa_even(p, eps=None, band_tol=1e-9):
     defect = float(np.abs(lam * lam - lam).max(initial=0.0))
     if defect >= 0.25:
         raise DomainError(f"||p^2 - p|| = {defect} >= 1/4")
-    lo, hi = forbidden_band(eps if eps is not None else max(defect, 1e-15))
-    inside = (lam > lo + band_tol) & (lam < hi - band_tol)
+    lo, hi = forbidden_band(max(defect, 1e-15))
+    inside = (lam > lo + 1e-9) & (lam < hi - 1e-9)
     if inside.any():
         raise SpectralGapError(
             f"eigenvalue {lam[inside][0]} inside the forbidden band ({lo}, {hi})")
@@ -300,19 +301,20 @@ def witness_defect(wit):
     return max(wit["left_defect"], wit["right_defect"])
 
 
-def interpolation_certificate(p, p_prime, ambient, parity="even", tau=DEFAULT_TAU):
-    """Two-sample certificate for the straight line between nearby elements.
+def interpolation_certificate(p, p_prime, ambient):
+    """Two-sample certificate for the straight line between nearby
+    quasi-projections.
 
     Valid when 5 ||p - p'|| + max of the measured defects stays below the
     ambient eps (checked first) and the certificate rule accepts it.
     """
     delta = step_norms([p, p_prime])[0]  # the verifier's number, bit for bit
-    measured = measure_samples([p, p_prime], parity, tau)
+    measured = measure_samples([p, p_prime], "even")
     worst = max(map(witness_defect, measured))
     if 5 * delta + worst >= ambient.eps:
         raise CertificateError(
             f"gap too large: 5*{delta} + {worst} >= {ambient.eps}; subdivide")
-    cert = HomotopyCertificate(parity, [p, p_prime], ambient, [delta])
+    cert = HomotopyCertificate("even", [p, p_prime], ambient, [delta])
     ok, report = judge_certificate(cert, measured, [delta])
     if not ok:
         raise CertificateError(
@@ -430,9 +432,8 @@ class ControlPair:
         return cls.from_table(lam, eps_grid, [fn(e) for e in eps_grid], label)
 
     @classmethod
-    def constant(cls, lam, value, label=None):
-        return cls.from_function(lam, lambda _: value,
-                                 label or f"const {value}")
+    def constant(cls, lam, value):
+        return cls.from_function(lam, lambda _: value, f"const {value}")
 
     def __call__(self, eps):
         if not 0 < eps < self.domain_sup:

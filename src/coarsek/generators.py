@@ -74,7 +74,7 @@ def banded_near_unitary(space, r, rng, amplification=1, strength=0.25):
     return expm(skew)
 
 
-def random_quasi_projection(space, params, rng, amplification=1, rank=None):
+def random_quasi_projection(space, params, rng, rank=None):
     """Quasi-projection with a known spectral-projection rank.
 
     Conjugates a 0/1 diagonal (plus uniform diagonal noise below eps/2) by a
@@ -82,52 +82,48 @@ def random_quasi_projection(space, params, rng, amplification=1, rank=None):
     re-symmetrizes; retries with weaker noise until the measured defect sits
     inside eps.  Returns (operator, rank).
     """
-    n = amplification * space.total_dim
+    n = space.total_dim
     if rank is None:
         rank = int(rng.integers(0, n + 1))
     if not 0 <= rank <= n:
         raise DomainError("rank outside [0, dim]")
     diag01 = np.zeros(n)
     diag01[rng.permutation(n)[:rank]] = 1.0
-    mask = band_mask(space, amplification, params.r)
+    mask = band_mask(space, 1, params.r)
     noise_level = params.eps / 2
     # keep the rotation weak enough that masking its tails costs less than eps
     strength = min(0.25, 3 * params.eps)
     for _ in range(TRIES):
         noise = rng.uniform(-noise_level, noise_level, size=n)
         d = diag01 + noise
-        v = banded_near_unitary(space, params.r / 3, rng, amplification,
-                                strength=strength)
+        v = banded_near_unitary(space, params.r / 3, rng, strength=strength)
         m = (v * d) @ v.conj().T
         m = m * mask
         m = (m + m.conj().T) / 2
         defect, found = defect_and_rank(m)
         if defect < 0.9 * params.eps and found == rank:
-            return FiniteOperator(space, m, amplification), rank
+            return FiniteOperator(space, m), rank
         noise_level /= 2
     raise DomainError("could not reach the requested quasi-projection level; "
                       "band too tight for this space")
 
 
-def random_quasi_unitary(space, params, rng, amplification=1):
+def random_quasi_unitary(space, params, rng):
     """Quasi-unitary: random phases times a masked banded near-unitary."""
-    n = amplification * space.total_dim
     strength = 0.25
     for _ in range(TRIES):
-        v = banded_near_unitary(space, params.r / 3, rng, amplification,
-                                strength=strength)
-        v = v * band_mask(space, amplification, params.r)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+        v = banded_near_unitary(space, params.r / 3, rng, strength=strength)
+        v = v * band_mask(space, 1, params.r)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=space.total_dim))
         m = phases[:, None] * v
-        u = FiniteOperator(space, m, amplification)
+        u = FiniteOperator(space, m)
         if max(unitary_defects(u)) < 0.9 * params.eps:
             return u
         strength /= 2
     raise DomainError("could not reach the requested quasi-unitary level")
 
 
-def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02,
-                                      amplification=1):
+def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02):
     """Independent per-point blocks with exact chi-ranks plus small noise.
 
     Propagation is 0, so the result is a quasi-projection at any r; the
@@ -136,10 +132,10 @@ def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02,
     ranks = np.asarray(ranks, dtype=int)
     if len(ranks) != len(space):
         raise DomainError("one rank per point required")
-    n = amplification * space.total_dim
+    n = space.total_dim
     m = np.zeros((n, n), dtype=complex)
     for j in range(len(space)):
-        d = int(space.internal_dims[j]) * amplification
+        d = int(space.internal_dims[j])
         if not 0 <= ranks[j] <= d:
             raise DomainError(f"rank {ranks[j]} outside [0, {d}] at point {j}")
         q = haar_unitary(d, rng)
@@ -149,9 +145,9 @@ def random_blockdiag_quasi_projection(space, rng, ranks, noise=0.02,
         h = (h + h.conj().T) / 2
         h *= noise / max(opnorm(h), 1e-15)
         block = (q * diag) @ q.conj().T + h
-        coords = coordinates_of(space, amplification, [j])
+        coords = coordinates_of(space, 1, [j])
         m[np.ix_(coords, coords)] = block
-    return FiniteOperator(space, m, amplification)
+    return FiniteOperator(space, m)
 
 
 def phase_unitary(space, angles, amplification=1, unitized=True):

@@ -115,13 +115,19 @@ def cycle_complex(k):
 class SamplePoint:
     """A point of the geometric realization, tagged by the face that carries
     it (the minimal simplex containing it) and its barycentric coordinates
-    on that face: one finite positive coordinate per carrier vertex, and no
-    vertex twice.  That is the rule for a sample, which its file can hold."""
+    on that face: a nonempty carrier of integer vertices (a bool is not
+    one), no vertex twice, and one finite positive coordinate per carrier
+    vertex.  That is the rule for a sample, which its file can hold."""
 
     carrier: tuple
     coords: tuple
 
     def __post_init__(self):
+        if not self.carrier:
+            raise DomainError("empty carrier")
+        for v in self.carrier:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise DomainError(f"carrier vertex {v!r} is not an integer")
         if len(set(self.carrier)) != len(self.carrier):
             raise DomainError(f"carrier {self.carrier} repeats a vertex")
         if len(self.coords) != len(self.carrier):
@@ -478,10 +484,11 @@ def cyclic_order(space, complex_):
     return np.array(order, dtype=int)
 
 
-def circle_space(k, mesh=2.0, fiber_dim=1):
-    """Convenience builder: k-gon circle, its discretization, cyclic order."""
+def circle_space(k, mesh=2.0):
+    """Convenience builder: k-gon circle, its discretization (fiber 1),
+    cyclic order."""
     cx = cycle_complex(k)
-    space = discretize(cx, mesh, fiber_dim=fiber_dim)
+    space = discretize(cx, mesh)
     return cx, space, cyclic_order(space, cx)
 
 

@@ -74,15 +74,15 @@ def coercive_split(x, masks, tau=DEFAULT_TAU):
     return x1, x2
 
 
-def cia_midpoint(x, y, masks, eps, tau=DEFAULT_TAU):
+def cia_midpoint(x, y, masks, eps):
     """Midpoint of the overlap blocks of two nearby region-supported operators.
 
     x must be supported in the (only-1 + overlap) region, y in the
-    (overlap + only-2) region, and ||x - y|| < eps; the returned z is
-    supported in the overlap and satisfies ||x - z|| <= 4 eps and
-    ||y - z|| <= 4 eps.
+    (overlap + only-2) region (entries above ``DEFAULT_TAU``), and
+    ||x - y|| < eps; the returned z is supported in the overlap and
+    satisfies ||x - z|| <= 4 eps and ||y - z|| <= 4 eps.
     """
-    return _cia_midpoint(x, y, masks, eps, tau)[0]
+    return _cia_midpoint(x, y, masks, eps, DEFAULT_TAU)[0]
 
 
 def _cia_midpoint(x, y, masks, eps, tau, gap=None):
@@ -109,15 +109,15 @@ def _cia_midpoint(x, y, masks, eps, tau, gap=None):
 
 @dataclass
 class MvPair:
-    """Operator-support regions, their enlarged neighborhoods, a degree, and
-    the coercivity constant they are claimed to satisfy."""
+    """Operator-support regions, their enlarged neighborhoods and a degree;
+    ``coercity`` is the constant every pair is claimed to satisfy."""
 
     delta1: np.ndarray
     delta2: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     r: float
-    coercity: float = 4.0
+    coercity = 4.0  # a class attribute, not a field
 
     def __post_init__(self):
         if not ((~self.delta1 | self.a1).all() and (~self.delta2 | self.a2).all()):
@@ -130,8 +130,7 @@ class MvPair:
                    neighborhood(space, x2, MARGIN), r)
 
 
-def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
-                        amplification=1, tau=DEFAULT_TAU):
+def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05, tau=DEFAULT_TAU):
     """Exercise the splitting and midpoint axioms at a grid of scales s <= r.
 
     Random banded operators at each scale are split along the region
@@ -154,7 +153,7 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
         sig_masks = split_masks(sig1, neighborhood(space, pair.delta2, MARGIN + s))
         for _ in range(per_scale):
             rng = next(rngs)
-            x = random_banded(space, s, rng, amplification, norm=1.0)
+            x = random_banded(space, s, rng, norm=1.0)
             x1, x2 = coercive_split(x, (p1, p2, p3), tau)
             worst_recon = max(worst_recon,
                               float(np.abs((x1 + x2 - x).concrete()).max()))
@@ -162,12 +161,11 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05,
             # split norms are the ratios
             scale_split = max(scale_split, opnorm(x1), opnorm(x2))
 
-            core = random_region_supported(space, sig_masks[1], rng,
-                                           amplification, norm=1.0)
+            core = random_region_supported(space, sig_masks[1], rng, norm=1.0)
             lobe1 = random_region_supported(space, sig_masks[0] | sig_masks[1],
-                                            rng, amplification, norm=1.0)
+                                            rng, norm=1.0)
             lobe2 = random_region_supported(space, sig_masks[1] | sig_masks[2],
-                                            rng, amplification, norm=1.0)
+                                            rng, norm=1.0)
             xa = core + (eps / 2) * lobe1
             ya = core + (eps / 2) * lobe2
             gap = opnorm(xa - ya)
@@ -275,7 +273,7 @@ def clutching_projection(u, phi):
     return FiniteOperator(u.space, p, 2 * u.amplification)
 
 
-def local_index(u, phi, region, tau=DEFAULT_TAU):
+def local_index(u, phi, region):
     """Rounded partial trace of chi(p(u, phi)) - chi(p(1, phi)) over one cut
     region; integral within 0.1, else the detector reports itself
     inconclusive (refine the mesh or shrink the propagation)."""

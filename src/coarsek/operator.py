@@ -106,10 +106,9 @@ class FiniteOperator:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, space, amplification=1, unitized=False):
+    def zeros(cls, space, amplification=1):
         n = amplification * space.total_dim
-        scalar = np.zeros(amplification, dtype=complex) if unitized else None
-        return cls(space, np.zeros((n, n), dtype=complex), amplification, scalar)
+        return cls(space, np.zeros((n, n), dtype=complex), amplification)
 
     @classmethod
     def identity(cls, space, amplification=1, unitized=True):
@@ -218,8 +217,8 @@ def hermitian_gap(m):
 
 
 def spectrum(m, herm):
-    """``(values, found)``: the eigenvalues (``herm``) or squared singular
-    values of the blocks of the nonzero pattern of ``m``, and their count.
+    """The eigenvalues (``herm``) or squared singular values of the blocks
+    of the nonzero pattern of ``m``.
     The pattern's connected components (symmetric when ``herm``, else of the
     bipartite row/column graph) make ``m`` block-diagonal; a block gives the
     ``eigvalsh`` of itself (its lower triangle) or of its Gram matrix on its
@@ -235,8 +234,7 @@ def spectrum(m, herm):
         else:
             b, e = _scaled(b)
             values.append(np.ldexp(_gram_eigvalsh(b), 2 * e[:, None]).ravel())
-    values = np.concatenate(values)
-    return values, values.size
+    return np.concatenate(values)
 
 
 def _finite(m):
@@ -491,9 +489,10 @@ def propagation(op, tau=DEFAULT_TAU):
     return float(op.space.dist[mask].max())
 
 
-def product_tau(s, t, tau=DEFAULT_TAU):
-    """Entry threshold for a product, scaled by the factors' norms."""
-    return tau * max(1.0, opnorm(s) * opnorm(t))
+def product_tau(s, t):
+    """Entry threshold for a product: ``DEFAULT_TAU`` scaled by the
+    factors' norms."""
+    return DEFAULT_TAU * max(1.0, opnorm(s) * opnorm(t))
 
 
 def lift(space, amplification, values):

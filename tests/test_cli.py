@@ -406,6 +406,16 @@ class TestStrictInputs:
                      "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: config line 3: ")
 
+    @pytest.mark.parametrize("raw", ["3.7", "1e3"])
+    def test_config_value_typed_like_the_flag(self, tmp_path, outdir, capsys, raw):
+        # --steps takes an int, so the config file's steps does too
+        cx = write(tmp_path / "complex.txt", "0 1\n")
+        assert main(["complex-validate", cx, "--steps", raw, "--out", outdir]) == 2
+        capsys.readouterr()
+        cfg = write(tmp_path / "knobs.cfg", f"steps = {raw}\n")
+        assert main(["--config", cfg, "complex-validate", cx, "--out", outdir]) == 2
+        assert capsys.readouterr().err.startswith("FAIL: config line 1: bad steps")
+
     def _quasi_check_inputs(self, tmp_path):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         space = SampledSpace.from_distance_matrix(d)

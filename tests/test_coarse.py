@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_report
+from coarsek import coarse
 from coarsek.coarse import (
     CoarseMap,
     CoverIsometry,
@@ -258,14 +259,15 @@ class TestSwapAndRotation:
         built = judged[-1]
         assert_same_report(built, verify_certificate(cert)[1])
 
-    def test_too_few_steps_allowed(self, edge_fine, edge_fat, rng):
+    def test_too_few_steps_allowed(self, edge_fine, edge_fat, rng, monkeypatch):
         f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
         v1 = delta_cover(f, 0.25)
         v2 = delta_cover(f, 0.25, bias="pack-high")
         params = QuasiParams(0.1, 0.3)
         p, _ = random_quasi_projection(edge_fine, params, rng)
+        monkeypatch.setattr(coarse, "MAX_STEPS", 4)
         with pytest.raises(CertificateError, match="would need 8 > 4"):
-            rotation_homotopy(v1, v2, p, params, max_steps=4)
+            rotation_homotopy(v1, v2, p, params)
 
     def test_endpoint_placements(self, edge_fine, edge_fat, rng):
         f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
@@ -487,7 +489,7 @@ class TestCertifyPath:
         calls = []
         sample = self.rotating_projection(math.pi / 2, calls)
         cert, measured = _certify_path(sample, "even", QuasiParams(0.1, 1.0),
-                                       None, 1e-12, 4096)
+                                       None, 1e-12)
         assert len(calls) == 9 and len(cert) == 9
         assert measured == measure_samples(cert.samples, "even", 1e-12)
         assert verify_certificate(cert, 1e-12)[0]
@@ -496,7 +498,7 @@ class TestCertifyPath:
         calls = []
         sample = self.rotating_projection(math.pi / 2, calls)
         cert, _ = _certify_path(sample, "even", QuasiParams(0.01, 1.0),
-                                None, 1e-12, 4096)
+                                None, 1e-12)
         assert len(cert) > 9
         assert len(calls) == 9 + len(cert)
         assert verify_certificate(cert, 1e-12)[0]

@@ -10,7 +10,9 @@ private top-level name is left unread, and no public function, class or
 method is reached only by tests.  A re-export in ``__init__`` reads
 nothing, and a method is read only as an attribute of a value that is not
 an imported module; the names the benchmark's tracer looks up by string
-count as read, and each of them must resolve."""
+count as read, and each of them must resolve.  One level down, every
+parameter with a default is passed by some caller that is not a test, and
+every parameter of a public function is read by its body."""
 
 import ast
 import importlib
@@ -37,6 +39,23 @@ TEST_ONLY = {
     "FiniteOperator.zeros": "test data",
     "SampledSpace.validate": "the metric-axiom oracle on discretize output",
     "ControlPair.constant": "the fixture builder of the control-pair tests",
+}
+# parameters with defaults that only tests pass, each kept for the reason given
+TEST_ONLY_PARAMS = {
+    "ControlPair.table(n)": "acceptance criterion 8 reads it",
+    "SampledSpace.validate(tol)": "the tolerance of the metric-axiom oracle",
+    "circle_cut(width)": "tests show that the index does not depend on the cut",
+    "evaluate(interpolate)": "tests bound the perturbation of the path blend",
+    "loads_numbers(dtype)": "the CLI passes int through _load(..., *context)",
+    "random_region_supported(amplification)": "amplified test data",
+    "random_region_supported(band_r)": "test data",
+    "banded_near_unitary(amplification)": "amplified test data",
+    "phase_unitary(amplification)": "amplified test data",
+    "phase_unitary(unitized)": "test data",
+    "shift_unitary(amplification)": "amplified test data",
+    "SampledSpace.from_distance_matrix(mesh)": "test data",
+    "uniform_edge_space(fiber_dim)": "test data",
+    "FiniteOperator.zeros(amplification)": "amplified test data",
 }
 
 
@@ -164,6 +183,145 @@ def unread_public_names(modules, clients, traced):
             for line, name in public_definitions(tree)
             if f"{file.removesuffix('.py')}.{name}" not in traced
             and name.rpartition(".")[2] not in (attributes if "." in name else names)]
+
+
+def decorated(node, name):
+    """Whether ``@name`` or ``@name(...)`` decorates the definition."""
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == name
+               for d in node.decorator_list)
+
+
+def public_functions(tree):
+    """``(func, label, call name, bound)`` of each public top-level function
+    and of each public method and ``__init__`` of a public class.  ``label``
+    is ``f``, ``Cls.m`` or ``Cls`` (a constructor), ``call name`` the name a
+    call reaches it by, and ``bound`` whether a call leaves its first
+    parameter (``self``, ``cls``) out."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node, node.name, node.name, False
+        for sub in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                yield sub, node.name, node.name, True
+            elif isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                yield (sub, f"{node.name}.{sub.name}", sub.name,
+                       not decorated(sub, "staticmethod"))
+
+
+def has_default(value):
+    """Whether a dataclass field's right-hand side gives it a default:
+    anything but ``field(...)`` without ``default``/``default_factory``."""
+    return value is not None and not (
+        isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        and not {k.arg for k in value.keywords} & {"default", "default_factory"})
+
+
+def defaulted_parameters(tree):
+    """``(line, label, parameter, call name, position, owner)`` of each
+    parameter with a default of a ``public_functions`` entry, and of each
+    dataclass field with a default.  A call by ``call name`` reaches it (a
+    field's is its class's), passing it as the positional argument at
+    ``position`` (None for a keyword-only one) or by keyword.  ``owner`` is
+    the definition whose own calls do not count: the class, for a field,
+    whose ``__init__`` has no body.  ``label`` reads ``f(p)``, ``Cls.m(p)``
+    or ``Cls(p)``."""
+    found = []
+    for func, label, call, bound in public_functions(tree):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found.extend((a.lineno, f"{label}({a.arg})", a.arg, call, i - bound, func)
+                     for i, a in enumerate(positional) if i >= first)
+        found.extend((a.lineno, f"{label}({a.arg})", a.arg, call, None, func)
+                     for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and decorated(node, "dataclass")):
+            fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)
+                      and isinstance(sub.target, ast.Name)]
+            found.extend((sub.lineno, f"{node.name}({sub.target.id})", sub.target.id,
+                          node.name, pos, node)
+                         for pos, sub in enumerate(fields) if has_default(sub.value))
+    return sorted(found, key=lambda row: row[0])
+
+
+def calls(tree, skip=frozenset(), library=frozenset()):
+    """``(call name, positions, keywords, enclosing)`` of each call in the
+    tree whose callee is a bare name or an attribute read off a value that
+    is not a name bound by ``import module`` (``np.zeros(...)`` is left
+    out).  A name in ``skip`` is left out too, unless it is read off a
+    module of ``library`` bound by ``from package import module``
+    (``cli.main(...)``).  ``positions`` is the number of positional
+    arguments, or None when one is starred; ``keywords`` the names passed
+    by keyword, or None when ``**`` passes a mapping; ``enclosing`` the
+    top-level function or method the call sits in, or None."""
+    modules = imported_modules(tree)
+    package = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name in library}
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Call):
+            func = node.func
+            held = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            name = (func.id if isinstance(func, ast.Name) else func.attr
+                    if isinstance(func, ast.Attribute)
+                    and not (held and func.value.id in modules) else None)
+            if name is not None and (name not in skip or held and func.value.id in package):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = [k.arg for k in node.keywords]
+                found.append((name, None if starred else len(node.args),
+                              None if None in keywords else set(keywords), enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for node in tree.body:
+        for sub in node.body if isinstance(node, ast.ClassDef) else [node]:
+            visit(sub, sub if isinstance(sub, ast.FunctionDef) else None)
+    return found
+
+
+def sets(call, parameter):
+    """Whether ``call`` (one of ``calls``) passes ``parameter`` (one of
+    ``defaulted_parameters``)."""
+    called, positions, keywords, enclosing = call
+    _, _, arg, name, position, owner = parameter
+    return called == name and enclosing is not owner and (
+        keywords is None or arg in keywords or position is not None and (
+            positions is None or position < positions))
+
+
+def parameters_only_tests_set(modules, clients):
+    """``(file:line, label)`` of each parameter of ``defaulted_parameters``
+    of the library modules (a map from file name to tree) that no call in
+    another library function, a demo or the benchmark passes.  A client's
+    call of a name the clients define themselves passes nothing to the
+    library."""
+    own = defined_names(clients)
+    library = {name.removesuffix(".py") for name in modules}
+    found = [call for name, tree in modules.items() if name != "__init__.py"
+             for call in calls(tree)]
+    found += [call for tree in clients for call in calls(tree, own, library)]
+    return [(f"{file}:{parameter[0]}", parameter[1]) for file, tree in modules.items()
+            for parameter in defaulted_parameters(tree)
+            if not any(sets(call, parameter) for call in found)]
+
+
+def unread_parameters(tree):
+    """``(line, label)`` of each parameter of a ``public_functions`` entry
+    that its body never reads (``self`` and ``cls`` aside)."""
+    found = []
+    for func, label, _, bound in public_functions(tree):
+        args = func.args
+        names = [a.arg for a in args.posonlyargs + args.args][bound:]
+        names += [a.arg for a in (*args.kwonlyargs, args.vararg, args.kwarg) if a is not None]
+        read = {sub.id for stmt in func.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        found.extend((func.lineno, f"{label}({name})") for name in names if name not in read)
+    return found
 
 
 def number_formats(tree):
@@ -330,6 +488,24 @@ def test_no_public_name_only_tests_reach():
         "TEST_ONLY names a definition that is gone or now read outside tests")
 
 
+def test_no_parameter_only_tests_set():
+    unset = parameters_only_tests_set({path.name: tree_of(path) for path in MODULES},
+                                      [tree_of(path) for path in CLIENTS])
+    stray = [f"{at} {label}" for at, label in unset if label not in TEST_ONLY_PARAMS]
+    assert stray == [], ("parameters with defaults that no library function, demo or "
+                         f"benchmark passes; delete them, or say in TEST_ONLY_PARAMS why "
+                         f"they stay: {stray}")
+    assert sorted(label for _, label in unset if label in TEST_ONLY_PARAMS) == \
+        sorted(TEST_ONLY_PARAMS), (
+            "TEST_ONLY_PARAMS names a parameter that is gone or now passed outside tests")
+
+
+def test_no_unread_parameters():
+    unread = [f"{path.name}:{line} {label}" for path in MODULES
+              for line, label in unread_parameters(tree_of(path))]
+    assert unread == [], "parameters that their function never reads"
+
+
 def test_traced_names_resolve():
     # the tracer finds each name by string, so a rename breaks a traced run
     missing = []
@@ -387,6 +563,44 @@ def test_guards_catch_what_they_name():
                                       "np.zeros(Cell.grow())\n")]) == {"grow"}
     assert traced_names(ast.parse('TRACED = [\n    "a.f", "b.C.m",\n]\nOTHER = ["c.g"]\n')) \
         == {"a.f", "b.C.m"}
+    # parameters: set by keyword, by position after self/cls, through *args
+    # or **kwargs; not by the function's own call, a test, a call read off an
+    # imported module, or a client's call of a name it defines itself
+    lib = {"__init__.py": ast.parse("from .cell import grow\n"),
+           "cell.py": ast.parse(
+               "import numpy as np\nfrom dataclasses import dataclass, field\n\n\n"
+               "@dataclass\nclass Seed:\n    kind: str\n    size: int = 1\n"
+               "    tags: list = field(default_factory=list)\n"
+               "    raw: list = field(repr=False)\n\n\n"
+               "class Cell:\n    def __init__(self, n, mode='a'):\n        self.n = n\n\n"
+               "    @classmethod\n    def zeros(cls, n, k=1, lift=False):\n"
+               "        return cls(n)\n\n"
+               "    def _tidy(self, hard=False):\n        pass\n\n\n"
+               "def grow(c, rate=1.0, cap=None, *, trim=0):\n"
+               "    return grow(c, rate, cap, trim=trim)\n\n\n"
+               "def _tend():\n    return np.zeros(3, 4, 5), Seed('x', 2)\n")}
+    assert [label for _, label, *_ in defaulted_parameters(lib["cell.py"])] == [
+        "Seed(size)", "Seed(tags)", "Cell(mode)", "Cell.zeros(k)", "Cell.zeros(lift)",
+        "grow(rate)", "grow(cap)", "grow(trim)"]
+    assert [label for _, label in parameters_only_tests_set(lib, [])] == [
+        "Seed(tags)", "Cell(mode)", "Cell.zeros(k)", "Cell.zeros(lift)",
+        "grow(rate)", "grow(cap)", "grow(trim)"]
+    clients = [ast.parse("from cell import Cell\nfrom pkg import cell\n\n\n"
+                         "def grow(c, rate, cap):\n    return c\n\n\n"
+                         "Cell(1).zeros(2, 3)\nCell(*[1, 'b'])\n"
+                         "grow(Cell(1), 2.0, 3)\ncell.grow(Cell(2), trim=1)\n")]
+    assert [label for _, label in parameters_only_tests_set(lib, clients)] == [
+        "Seed(tags)", "Cell.zeros(lift)", "grow(rate)", "grow(cap)"]
+    assert calls(ast.parse("import m\nm.f(1)\nf(1, **k)\nx.g(*a, c=2)\n"), {"g"}) == [
+        ("f", 1, None, None)]
+    assert calls(clients[0], {"grow"}, {"cell"})[-2:] == [
+        ("grow", 1, {"trim"}, None), ("Cell", 1, set(), None)]
+    tree = ast.parse("class Cell:\n    def grow(self, rate):\n        return self\n\n"
+                     "    @staticmethod\n    def make(n, k):\n        return n\n\n\n"
+                     "def seed(a, *rest, b, **more):\n    return a + more\n\n\n"
+                     "def _hidden(unused):\n    pass\n")
+    assert unread_parameters(tree) == [(2, "Cell.grow(rate)"), (6, "Cell.make(k)"),
+                                       (10, "seed(b)"), (10, "seed(rest)")]
     tree = ast.parse('"""Writes ``%.17g``."""\n\n\ndef _tokens(v):\n    """As %.17g."""\n'
                      '    return "%.17g" % v\n\n\ndef dumps(x):\n'
                      '    return f"{x:.17g}," + "%.17g" % x\n')

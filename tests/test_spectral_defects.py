@@ -103,10 +103,9 @@ def edge():
 
 def padded_spectrum(m, herm):
     """The kernel's values with the zeros it leaves out, sorted."""
-    values, found = spectrum(m, herm)
-    assert found == values.size
+    values = spectrum(m, herm)
     full = len(m) if herm else min(m.shape)
-    return np.sort(np.concatenate([values, np.zeros(full - found)]))
+    return np.sort(np.concatenate([values, np.zeros(full - values.size)]))
 
 
 def same_spectrum(got, want):
@@ -130,10 +129,8 @@ def test_spectrum_is_the_whole_matrix_spectrum(circle, factor):
 
 def test_spectrum_of_nothing():
     for m in (np.zeros((0, 0)), np.zeros((4, 4)), np.zeros((3, 5))):
-        values, found = spectrum(m, False)
-        assert values.size == found == 0
-    values, found = spectrum(np.zeros((4, 4)), True)
-    assert values.size == found == 0
+        assert spectrum(m, False).size == 0
+    assert spectrum(np.zeros((4, 4)), True).size == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -266,7 +263,7 @@ def test_non_square_pattern_block(circle):
     v = banded_near_unitary(space, 0.05, rng, strength=0.05).copy()
     v[np.abs(v) < 1e-3] = 0.0
     v[:, 100] = 0.0
-    assert spectrum(v, False)[1] == len(v) - 1
+    assert spectrum(v, False).size == len(v) - 1
     assert agree_odd(v) >= 1.0
 
 
