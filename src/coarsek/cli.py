@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from . import coarse, controlled, mv, paths, serialize
-from .errors import CoarsekError, MalformedInputError, VerificationFailure
+from .errors import CoarsekError, DomainError, MalformedInputError, VerificationFailure
 from .geometry import discretize
 from .operator import opnorm, propagation, support
 
@@ -27,21 +27,13 @@ KNOB_DEFAULTS = {
     "r": 0.25,
     "delta": 0.1,
     "mesh": 0.5,
-    "tau": 1e-12,
     "seed": 0,
     "trials": 100,
-    "steps": None,
     "fiber": 1,
     "parity": "even",
     "out": ".",
 }
 CHOICES = {"parity": ("even", "odd")}  # knobs with a closed set of values
-
-
-def _knob_type(key):
-    """The type a knob's flag and config value take: its default's (steps: int)."""
-    default = KNOB_DEFAULTS[key]
-    return int if default is None else type(default)
 
 
 # Exit code of an error: the first row whose type matches.
@@ -98,29 +90,28 @@ def _discretize(knobs, complex_file):
 
 def _op_prop(knobs, space_file, operator_file):
     op = _load_operator(space_file, operator_file)
-    prop = propagation(op, knobs["tau"])
-    return Outcome({"support_pairs": int(support(op, knobs["tau"]).sum()),
+    prop = propagation(op)
+    return Outcome({"support_pairs": int(support(op).sum()),
                     "propagation": prop, "opnorm": opnorm(op)})
 
 
 def _quasi_check(knobs, space_file, operator_file):
     op = _load_operator(space_file, operator_file)
-    ok, wit = controlled.is_quasi(op, knobs["parity"], _params(knobs),
-                                  knobs["tau"])
+    ok, wit = controlled.is_quasi(op, knobs["parity"], _params(knobs))
     return Outcome({"parity": knobs["parity"], "passed": ok, **wit},
                    failure=None if ok else f"{knobs['parity']} quasi-test failed: {wit}")
 
 
 def _k0_points(knobs, space_file, operator_file):
     op = _load_operator(space_file, operator_file)
-    classes = controlled.k0_points(op, _params(knobs), knobs["tau"])
+    classes = controlled.k0_points(op, _params(knobs))
     return Outcome({"classes": " ".join(str(c) for c in classes)})
 
 
 def _certify_homotopy(knobs, space_file, certificate_file):
     space = _load(serialize.loads_space, space_file)
     cert = _load(serialize.loads_certificate, certificate_file, space)
-    ok, rep = controlled.verify_certificate(cert, knobs["tau"])
+    ok, rep = controlled.verify_certificate(cert)
     keys = ("samples", "worst_defect", "worst_propagation", "worst_step_margin")
     return Outcome({"passed": ok, **{k: rep[k] for k in keys}},
                    failure=None if ok else f"certificate rejected: {rep['failures'][:3]}")
@@ -135,12 +126,14 @@ def _map_and_operator(source_space, target_space, map_file, operator_file):
 
 def _coarse_ad(knobs, *files):
     f, op = _map_and_operator(*files)
-    r = _params(knobs).r
+    r = knobs["r"]
+    if not r > 0:
+        raise DomainError("r must be positive")
     out = coarse.ad(coarse.delta_cover(f, knobs["delta"]), op)
     omega = coarse.expansion_function(f, r)
     bound = omega + 2 * knobs["delta"]
-    prop_in = propagation(op, knobs["tau"])
-    prop_out = propagation(out, knobs["tau"])
+    prop_in = propagation(op)
+    prop_out = propagation(out)
     _write(knobs["out"], "transported.txt", serialize.dumps_operator(out))
     ok = not (prop_in < r) or prop_out < bound
     return Outcome({"expansion": omega, "propagation_in": prop_in,
@@ -155,9 +148,8 @@ def _rotation_homotopy(knobs, *files):
     params = _params(knobs)
     v1 = coarse.delta_cover(f, knobs["delta"])
     v2 = coarse.delta_cover(f, knobs["delta"], bias="pack-high")
-    cert = coarse.rotation_homotopy(v1, v2, op, params,
-                                    steps=knobs["steps"], tau=knobs["tau"])
-    ok, rep = controlled.verify_certificate(cert, knobs["tau"])
+    cert = coarse.rotation_homotopy(v1, v2, op, params)
+    ok, rep = controlled.verify_certificate(cert)
     _write(knobs["out"], "certificate.txt", serialize.dumps_certificate(cert))
     keys = ("samples", "worst_defect", "worst_propagation")
     return Outcome({"passed": ok, **{k: rep[k] for k in keys},
@@ -171,8 +163,7 @@ def _mv_verify(knobs, complex_file):
     space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
     pair = mv.MvPair.from_decomposition(space, cx, r=knobs["r"])
     rep = mv.verify_weak_mv_pair(space, pair, trials=knobs["trials"],
-                                 seed=knobs["seed"], eps=knobs["epsilon"],
-                                 tau=knobs["tau"])
+                                 seed=knobs["seed"], eps=knobs["epsilon"])
     keys = ("passed", "degree", "worst_split_ratio", "worst_cia_ratio",
             "worst_reconstruction", "coercity_bound", "trials")
     return Outcome({k: rep[k] for k in keys}, table=rep["table"],
@@ -190,7 +181,7 @@ def _clutching_index(knobs, space_file, operator_file, cut_file, region_file):
 def _path_trim(knobs, space_file, path_file):
     space = _load(serialize.loads_space, space_file)
     path = _load(serialize.loads_path, path_file, space)
-    n = paths.eventual_propagation(path, knobs["r"], knobs["tau"])
+    n = paths.eventual_propagation(path, knobs["r"])
     trimmed = paths.trim(path, n)
     _write(knobs["out"], "trimmed-path.txt", serialize.dumps_path(trimmed))
     return Outcome({"trim_time": n, "samples_left": len(trimmed),
@@ -227,7 +218,8 @@ def build_parser():
         for pos in positional:
             p.add_argument(pos)
         for key in KNOB_DEFAULTS:
-            p.add_argument(f"--{key}", type=_knob_type(key), choices=CHOICES.get(key))
+            p.add_argument(f"--{key}", type=type(KNOB_DEFAULTS[key]),
+                           choices=CHOICES.get(key))
     rp = sub.add_parser("report", help="merge report files")
     rp.add_argument("inputs", nargs="*")
     rp.add_argument("--out")
@@ -248,7 +240,7 @@ def resolve_knobs(args):
                     raise MalformedInputError(f"config line {ln}: " + (
                         f"unknown key {key!r}" if eq else "expected key = value"))
                 try:
-                    knobs[key] = _knob_type(key)(raw)
+                    knobs[key] = type(KNOB_DEFAULTS[key])(raw)
                     if key in CHOICES and knobs[key] not in CHOICES[key]:
                         raise ValueError(raw)
                 except (ValueError, OverflowError) as exc:

@@ -24,7 +24,7 @@ from .controlled import (
     HomotopyCertificate,
     QuasiParams,
     judge_certificate,
-    measure_samples,
+    measure,
     require_quasi,
     step_norms,
     witness_defect,
@@ -194,21 +194,21 @@ def swap_unitary(v, w):
                      [w @ v.conj().T, eye - qy]])
 
 
-def rotation_homotopy(Vf, Vg, p, params, steps=None, tau=DEFAULT_TAU):
+def rotation_homotopy(Vf, Vg, p, params):
     """Certificate joining diag(V_f p V_f*, 0, 0, 0) to diag(0, V_g p V_g*, 0, 0)
     over 4x amplification, through quasi-projections at (eps, R + 8 delta).
 
     Both covers must cover the same map at the same delta; R is just above
     the measured expansion of the map at the declared propagation level.
-    Without ``steps`` the path takes as many as its certificate needs, at
-    most ``MAX_STEPS``.
+    The path takes as many steps as its certificate needs, at most
+    ``MAX_STEPS``.
     """
     if Vf.map is not Vg.map and not np.array_equal(Vf.map.assignment,
                                                    Vg.map.assignment):
         raise DomainError("covers must cover the same map")
     if Vf.delta != Vg.delta:
         raise DomainError("covers must share delta")
-    require_quasi(p, "even", params, tau)
+    require_quasi(p, "even", params)
     delta = Vf.delta
     R = expansion_function(Vf.map, params.r) * (1 + 1e-12) + 1e-12
     ambient = QuasiParams(params.eps, R + 8 * delta)
@@ -229,42 +229,38 @@ def rotation_homotopy(Vf, Vg, p, params, steps=None, tau=DEFAULT_TAU):
         out = u_t @ x @ u_t.conj().T
         return FiniteOperator(tgt, (out + out.conj().T) / 2, 4 * k)
 
-    return _certify_path(sample, "even", ambient, steps, tau)[0]
+    return _certify_path(sample, "even", ambient)[0]
 
 
-def _certify_path(sample_fn, parity, ambient, steps=None, tau=DEFAULT_TAU):
+def _certify_path(sample_fn, parity, ambient):
     """Sample a continuous path finely enough that its certificate passes;
     returns the certificate and the sample measurements it was judged on.
 
-    Without an explicit step count the first sampling, at 8 steps, is also
-    the probe: its arc length and worst defect fix the step budget the
-    perturbation margin allows.  The path is sampled again only when that
-    budget needs more steps or a verdict fails (the count then doubles, up
-    to ``MAX_STEPS``)."""
-    probe = steps is None
-    n = 8 if probe else steps
-    while True:
+    The first sampling, at 8 steps, is the probe: its arc length and worst
+    defect fix the step budget the perturbation margin allows.  The path
+    is sampled again only when that budget needs more steps or a verdict
+    fails (the count then doubles, up to ``MAX_STEPS``)."""
+    def sampled(n):
         samples = [sample_fn(t) for t in np.linspace(0.0, 1.0, n + 1)]
-        measured = measure_samples(samples, parity, tau)
-        bounds = step_norms(samples)
-        if probe:
-            probe = False
-            worst = max(map(witness_defect, measured))
-            margin = ambient.eps - worst
-            if margin <= 0:
-                raise CertificateError(
-                    f"probe sample defect {worst} already exceeds eps {ambient.eps}")
-            n = max(8, math.ceil(sum(bounds) / (1.8 * math.sqrt(margin)) * 1.1))
-            if n > MAX_STEPS:
-                raise CertificateError(
-                    f"certificate would need {n} > {MAX_STEPS} steps")
-            if n > 8:
-                continue
+        return samples, [measure(s, parity) for s in samples], step_norms(samples)
+
+    samples, measured, bounds = sampled(8)
+    worst = max(map(witness_defect, measured))
+    margin = ambient.eps - worst
+    if margin <= 0:
+        raise CertificateError(
+            f"probe sample defect {worst} already exceeds eps {ambient.eps}")
+    n = max(8, math.ceil(sum(bounds) / (1.8 * math.sqrt(margin)) * 1.1))
+    if n > MAX_STEPS:
+        raise CertificateError(f"certificate would need {n} > {MAX_STEPS} steps")
+    while True:
+        if len(samples) != n + 1:
+            samples, measured, bounds = sampled(n)
         cert = HomotopyCertificate(parity, samples, ambient, bounds)
         ok, report = judge_certificate(cert, measured, bounds)
         if ok:
             return cert, measured
-        if steps is not None or n >= MAX_STEPS:
+        if n >= MAX_STEPS:
             raise CertificateError(
                 f"path not certifiable at {n} steps: {report['failures'][:3]}")
         n *= 2

@@ -29,7 +29,6 @@ from .errors import (
     VerificationFailure,
 )
 from .operator import (
-    DEFAULT_TAU,
     FiniteOperator,
     coordinates_of,
     direct_sum,
@@ -84,7 +83,7 @@ def unitary_defects(op):
     return d, d
 
 
-def measure(x, parity, tau=DEFAULT_TAU):
+def measure(x, parity):
     """Witness norms of one element: the self-adjointness and projection
     defects (even) or the two unitary defects (odd), then propagation."""
     if parity == "even":
@@ -95,14 +94,14 @@ def measure(x, parity, tau=DEFAULT_TAU):
         wit = dict(zip(("left_defect", "right_defect"), unitary_defects(x)))
     else:
         raise DomainError(f"parity must be 'even' or 'odd', not {parity!r}")
-    wit["propagation"] = propagation(x, tau)
+    wit["propagation"] = propagation(x)
     return wit
 
 
-def is_quasi(x, parity, params, tau=DEFAULT_TAU):
+def is_quasi(x, parity, params):
     """Quasi-test: the certificate rule on the one-sample path at ``x``;
     returns (verdict, witness norms with the level)."""
-    wit = measure(x, parity, tau)
+    wit = measure(x, parity)
     ok, _ = judge_certificate(HomotopyCertificate(parity, [x], params), [wit], [])
     return ok, {**wit, "eps": params.eps, "r": params.r}
 
@@ -111,9 +110,9 @@ def is_quasi_projection(p, params):
     return is_quasi(p, "even", params)
 
 
-def require_quasi(x, parity, params, tau=DEFAULT_TAU):
+def require_quasi(x, parity, params):
     """Raise DomainError unless ``x`` passes its quasi-test."""
-    ok, wit = is_quasi(x, parity, params, tau)
+    ok, wit = is_quasi(x, parity, params)
     if not ok:
         raise DomainError(f"{parity} quasi-test failed: {wit}")
 
@@ -227,7 +226,7 @@ def stabilize(x, k):
     return KClassRep(x.parity, rep, x.params, ell)
 
 
-def k0_points(p, params, tau=DEFAULT_TAU, ell=None):
+def k0_points(p, params, ell=None):
     """Per-point class vector of a quasi-projection over a 0-dimensional space.
 
     With r below every distance between points the operator is
@@ -241,7 +240,7 @@ def k0_points(p, params, tau=DEFAULT_TAU, ell=None):
         if params.r >= separation:
             raise DomainError(
                 f"r={params.r} not below the point separation {separation}")
-    require_quasi(p, "even", params, tau)
+    require_quasi(p, "even", params)
     if ell is None:
         ell = scalar_rank(p)
     m = p.concrete()
@@ -289,11 +288,6 @@ def step_norms(ops):
     return [opnorm(b - a) for a, b in zip(ops, ops[1:])]
 
 
-def measure_samples(samples, parity, tau=DEFAULT_TAU):
-    """``measure`` of every sample."""
-    return [measure(s, parity, tau) for s in samples]
-
-
 def witness_defect(wit):
     """The defect that eps bounds: the projection or larger unitary one."""
     if "projection_defect" in wit:
@@ -309,7 +303,7 @@ def interpolation_certificate(p, p_prime, ambient):
     ambient eps (checked first) and the certificate rule accepts it.
     """
     delta = step_norms([p, p_prime])[0]  # the verifier's number, bit for bit
-    measured = measure_samples([p, p_prime], "even")
+    measured = [measure(s, "even") for s in (p, p_prime)]
     worst = max(map(witness_defect, measured))
     if 5 * delta + worst >= ambient.eps:
         raise CertificateError(
@@ -326,7 +320,7 @@ def judge_certificate(cert, measured, steps):
     """The certificate rule on measurements already taken; returns
     (verdict, report).
 
-    ``measured`` holds ``measure_samples`` of the samples and ``steps`` the
+    ``measured`` holds the ``measure`` of each sample and ``steps`` the
     ``step_norms`` of the samples.  Each sample must be self-adjoint (even
     parity) with defect below eps and propagation below r.  For a linear
     step p_t = (1-t) p0 + t p1 of size d the defect obeys the exact identity
@@ -366,11 +360,11 @@ def judge_certificate(cert, measured, steps):
     return not failures, report
 
 
-def verify_certificate(cert, tau=DEFAULT_TAU):
+def verify_certificate(cert):
     """Re-measure every sample and every step of a certificate and judge
     them (``judge_certificate``); returns (verdict, report).  This is the
     check on a certificate read from a file."""
-    return judge_certificate(cert, measure_samples(cert.samples, cert.parity, tau),
+    return judge_certificate(cert, [measure(s, cert.parity) for s in cert.samples],
                              step_norms(cert.samples))
 
 

@@ -52,10 +52,10 @@ def split_masks(m1, m2):
     return m1 & ~m2, m1 & m2, m2 & ~m1
 
 
-def coercive_split(x, masks, tau=DEFAULT_TAU):
+def coercive_split(x, masks):
     """Split x into region-supported x1 + x2 along a three-block partition.
 
-    The corner blocks joining the two outer regions must vanish below tau
+    The corner blocks joining the outer regions must vanish below ``DEFAULT_TAU``
     (guaranteed when the propagation of x is below the region separation);
     then x1 carries blocks {11, 12, 21, 22}, x2 carries {23, 32, 33}, the
     sum reproduces x exactly, and both norms are at most 4 ||x||.
@@ -64,10 +64,10 @@ def coercive_split(x, masks, tau=DEFAULT_TAU):
     if ((p1 & p2) | (p1 & p3) | (p2 & p3)).any():
         raise DomainError("split masks must be disjoint")
     corners = block_abs_max(x) * (np.outer(p1, p3) | np.outer(p3, p1))
-    if corners.max(initial=0.0) > tau:
+    if corners.max(initial=0.0) > DEFAULT_TAU:
         y, z = np.unravel_index(np.argmax(corners), corners.shape)
         raise PropagationError(
-            f"corner block ({y}, {z}) holds {corners[y, z]} > tau; "
+            f"corner block ({y}, {z}) holds {corners[y, z]} > {DEFAULT_TAU}; "
             "propagation too large for this decomposition")
     x1 = restrict(x, p1 | p2, p1 | p2)
     x2 = restrict(x, p2 | p3, p2 | p3) - restrict(x, p2, p2)
@@ -82,17 +82,17 @@ def cia_midpoint(x, y, masks, eps):
     ||x - y|| < eps; the returned z is supported in the overlap and
     satisfies ||x - z|| <= 4 eps and ||y - z|| <= 4 eps.
     """
-    return _cia_midpoint(x, y, masks, eps, DEFAULT_TAU)[0]
+    return _cia_midpoint(x, y, masks, eps)[0]
 
 
-def _cia_midpoint(x, y, masks, eps, tau, gap=None):
+def _cia_midpoint(x, y, masks, eps, gap=None):
     """cia_midpoint returning (z, ||x - z||, ||y - z||); a caller that has
     already measured ||x - y|| passes it as ``gap``."""
     s1, s2, s3 = masks
     for op, bad, side in ((x, s3, "first"), (y, s1, "second")):
         reach = block_abs_max(op)
         leak = max(reach[bad, :].max(initial=0.0), reach[:, bad].max(initial=0.0))
-        if leak > tau:
+        if leak > DEFAULT_TAU:
             raise PropagationError(
                 f"{side} operator leaks {leak} outside its region")
     if gap is None:
@@ -130,7 +130,7 @@ class MvPair:
                    neighborhood(space, x2, MARGIN), r)
 
 
-def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05, tau=DEFAULT_TAU):
+def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05):
     """Exercise the splitting and midpoint axioms at a grid of scales s <= r.
 
     Random banded operators at each scale are split along the region
@@ -154,7 +154,7 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05, tau=DEFAULT_T
         for _ in range(per_scale):
             rng = next(rngs)
             x = random_banded(space, s, rng, norm=1.0)
-            x1, x2 = coercive_split(x, (p1, p2, p3), tau)
+            x1, x2 = coercive_split(x, (p1, p2, p3))
             worst_recon = max(worst_recon,
                               float(np.abs((x1 + x2 - x).concrete()).max()))
             # random_banded has scaled x to norm 1 by its own opnorm, so the
@@ -170,7 +170,7 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05, tau=DEFAULT_T
             ya = core + (eps / 2) * lobe2
             gap = opnorm(xa - ya)
             _, dx, dy = _cia_midpoint(xa, ya, sig_masks,
-                                      max(gap, 1e-12) * (1 + 1e-9), tau, gap)
+                                      max(gap, 1e-12) * (1 + 1e-9), gap)
             if gap > 1e-12:
                 scale_cia = max(scale_cia, dx / gap, dy / gap)
         worst_split = max(worst_split, scale_split)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .controlled import step_norms
 from .errors import DomainError, NoDecayError
-from .operator import DEFAULT_TAU, propagation
+from .operator import propagation
 
 
 @dataclass
@@ -55,12 +55,12 @@ class PathOperator:
         return int(hit[0])
 
 
-def eventual_propagation(path, r, tau=DEFAULT_TAU):
+def eventual_propagation(path, r):
     """Earliest sampled time from which propagation stays below r.
 
     Raises when even the final sample is too spread out (no decay by the
     horizon)."""
-    props = [propagation(v, tau) for v in path.values]
+    props = [propagation(v) for v in path.values]
     below = np.array([p < r for p in props])
     if not below[-1]:
         raise NoDecayError(

@@ -252,10 +252,22 @@ def _mesh(text):
 def _sample(line):
     """``id carrier coords dim`` -> (id, SamplePoint, dim); ``SamplePoint``
     refuses a sample its rule does not admit."""
-    idx, carrier, coords, d = line.split()
-    carrier = tuple(int(v) for v in carrier.split(","))
+    fields = line.split()
+    if len(fields) != 4:
+        raise ValueError("a sample line needs 4 fields (id carrier coords dim), "
+                         f"found {len(fields)}")
+    idx, carrier, coords, d = fields
+    carrier = tuple(map(_vertex, carrier.split(",")))
     coords = tuple(float(c) for c in coords.split(","))
     return int(idx), SamplePoint(carrier, coords), int(d)
+
+
+def _vertex(token):
+    """A carrier vertex id, refused in ``SamplePoint``'s words."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"carrier vertex {token} is not an integer") from None
 
 
 def _distances(rd, n):
@@ -456,7 +468,9 @@ def loads_path(text, space):
         if not times.size:
             raise rd.error("a path needs at least one time")
         modulus = rd.field("modulus", float)
-        rd.field("horizon", float)  # the last time
+        horizon = rd.field("horizon", float)
+        if horizon != times[-1]:
+            raise rd.error(f"horizon {_line(horizon)} is not the last time {_line(times[-1])}")
         values = rd.records("sample", len(times), _parse_operator, space)
     return PathOperator(times, values, modulus)
 

@@ -212,7 +212,24 @@ class TestCoarseCommands:
                      "--epsilon", "0.1", "--r", "0.5", "--out", outdir]) == 0
         fields, _ = read_report(outdir, "rotation-homotopy")
         assert fields["passed"] == "True"
+        # the probe alone samples 8 steps, so the certificate reaches t = 1
+        assert int(fields["samples"]) >= 9
         assert os.path.exists(os.path.join(outdir, "certificate.txt"))
+
+    def test_coarse_ad_reads_r_but_not_epsilon(self, tmp_path, outdir, rng):
+        thin, fat, sf, tf, mf = self.setup_spaces(tmp_path)
+        from coarsek.generators import random_quasi_projection
+        p, _ = random_quasi_projection(thin, QuasiParams(0.1, 0.5), rng)
+        pf = write(tmp_path / "p.txt", dumps_operator(p))
+        reports = []
+        for eps in ("0.1", "0.3"):
+            out = str(tmp_path / f"out-{eps}")
+            assert main(["coarse-ad", sf, tf, mf, pf, "--delta", "0.3", "--r", "0.5",
+                         "--epsilon", eps, "--out", out]) == 0
+            reports.append(Path(out, "coarse-ad.report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        assert main(["coarse-ad", sf, tf, mf, pf, "--delta", "0.3", "--r", "0",
+                     "--out", outdir]) == 3
 
 
 class TestMvCommands:
@@ -408,13 +425,13 @@ class TestStrictInputs:
 
     @pytest.mark.parametrize("raw", ["3.7", "1e3"])
     def test_config_value_typed_like_the_flag(self, tmp_path, outdir, capsys, raw):
-        # --steps takes an int, so the config file's steps does too
+        # --trials takes an int, so the config file's trials does too
         cx = write(tmp_path / "complex.txt", "0 1\n")
-        assert main(["complex-validate", cx, "--steps", raw, "--out", outdir]) == 2
+        assert main(["complex-validate", cx, "--trials", raw, "--out", outdir]) == 2
         capsys.readouterr()
-        cfg = write(tmp_path / "knobs.cfg", f"steps = {raw}\n")
+        cfg = write(tmp_path / "knobs.cfg", f"trials = {raw}\n")
         assert main(["--config", cfg, "complex-validate", cx, "--out", outdir]) == 2
-        assert capsys.readouterr().err.startswith("FAIL: config line 1: bad steps")
+        assert capsys.readouterr().err.startswith("FAIL: config line 1: bad trials")
 
     def _quasi_check_inputs(self, tmp_path):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -443,7 +460,15 @@ class TestStrictInputs:
         fields, _ = read_report(outdir, "quasi-check")
         assert fields["parity"] == "odd"
 
-    @pytest.mark.parametrize("line", ["epsilonn = 0.3", "= 0.3", "Epsilon = 0.3"])
+    @pytest.mark.parametrize("flag", ["--tau", "--steps"])
+    def test_removed_knob_flags_exit_2(self, tmp_path, outdir, flag):
+        # the support threshold is DEFAULT_TAU and the step count the
+        # certificate's own, for every verdict
+        files = self._quasi_check_inputs(tmp_path)
+        assert main(["quasi-check", *files, flag, "0", "--out", outdir]) == 2
+
+    @pytest.mark.parametrize("line", ["epsilonn = 0.3", "= 0.3", "Epsilon = 0.3",
+                                      "tau = 0.5", "steps = 0"])
     def test_unknown_config_key(self, tmp_path, outdir, capsys, line):
         files = self._quasi_check_inputs(tmp_path)
         cfg = write(tmp_path / "knobs.cfg", f"# knobs\n{line}\n")

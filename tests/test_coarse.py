@@ -24,7 +24,7 @@ from coarsek.coarse import (
 from coarsek.controlled import (
     QuasiParams,
     is_quasi,
-    measure_samples,
+    measure,
     projection_defect,
     verify_certificate,
 )
@@ -488,20 +488,18 @@ class TestCertifyPath:
     def test_probe_is_the_certificate_when_eight_steps_suffice(self):
         calls = []
         sample = self.rotating_projection(math.pi / 2, calls)
-        cert, measured = _certify_path(sample, "even", QuasiParams(0.1, 1.0),
-                                       None, 1e-12)
+        cert, measured = _certify_path(sample, "even", QuasiParams(0.1, 1.0))
         assert len(calls) == 9 and len(cert) == 9
-        assert measured == measure_samples(cert.samples, "even", 1e-12)
-        assert verify_certificate(cert, 1e-12)[0]
+        assert measured == [measure(s, "even") for s in cert.samples]
+        assert verify_certificate(cert)[0]
 
     def test_resamples_only_when_the_budget_needs_more_steps(self):
         calls = []
         sample = self.rotating_projection(math.pi / 2, calls)
-        cert, _ = _certify_path(sample, "even", QuasiParams(0.01, 1.0),
-                                None, 1e-12)
+        cert, _ = _certify_path(sample, "even", QuasiParams(0.01, 1.0))
         assert len(cert) > 9
         assert len(calls) == 9 + len(cert)
-        assert verify_certificate(cert, 1e-12)[0]
+        assert verify_certificate(cert)[0]
 
 
 def test_concatenate_certificates_tracks_junctions(pt_space=None):

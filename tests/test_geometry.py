@@ -327,10 +327,9 @@ def test_mesh_is_read_only_and_hashed_as_dumped():
     assert space_hash(s) == digest == space_hash(loads_space(dumps_space(s)))
 
 
-# the reader refuses these sample lines in its own words, before it makes a SamplePoint
-READ_FIRST = {"empty carrier": "not enough values to unpack (expected 4, got 2)",
-              "carrier vertex True is not an integer":
-                  "invalid literal for int() with base 10: 'True'"}
+# the reader refuses this sample line in its own words: an empty carrier leaves 2 fields
+READ_FIRST = {"empty carrier":
+              "a sample line needs 4 fields (id carrier coords dim), found 2"}
 
 
 @pytest.mark.parametrize("carrier, coords, message", [

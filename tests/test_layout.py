@@ -12,10 +12,12 @@ nothing, and a method is read only as an attribute of a value that is not
 an imported module; the names the benchmark's tracer looks up by string
 count as read, and each of them must resolve.  One level down, every
 parameter with a default is passed by some caller that is not a test, and
-every parameter of a public function is read by its body."""
+every parameter of a public function is read by its body.  The README's
+table of the knobs each CLI subcommand reads is the set its handler reads."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -411,6 +413,34 @@ def unguarded_solves(func, guard):
             if eigen_solve(node) and id(node) not in guarded]
 
 
+def knobs_read(tree, name):
+    """Keys of the ``knobs[...]`` reads of the function ``name``, and of the
+    module functions it passes ``knobs`` to."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    keys = set()
+    for node in ast.walk(funcs[name]):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id == "knobs" and isinstance(node.slice, ast.Constant):
+            keys.add(node.slice.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in funcs and node.func.id != name \
+                and any(isinstance(a, ast.Name) and a.id == "knobs" for a in node.args):
+            keys |= knobs_read(tree, node.func.id)
+    return keys
+
+
+def knob_table(text):
+    """``{subcommand: knobs}`` of the README table of the knobs each reads."""
+    lines = text.splitlines()
+    table = {}
+    for line in lines[lines.index("| subcommand | knobs it reads |") + 2:]:
+        if not line.startswith("|"):
+            break
+        _, command, knobs, _ = line.split("|")
+        table[command.strip().strip("`")] = set(re.findall(r"`(\w+)`", knobs))
+    return table
+
+
 def test_modules_found():
     assert {"operator.py", "generators.py", "mv.py"} <= {p.name for p in MODULES}
 
@@ -519,6 +549,15 @@ def test_traced_names_resolve():
     assert missing == [], "perfbench/spans.py traces names the package lacks"
 
 
+def test_readme_knob_table_is_what_each_handler_reads():
+    from coarsek.cli import COMMANDS
+    tree = tree_of(SRC / "cli.py")
+    # every subcommand writes into --out, and the README says so apart
+    read = {name: knobs_read(tree, handler.__name__) - {"out"}
+            for name, (_, handler) in COMMANDS.items()}
+    assert knob_table((ROOT / "README.md").read_text(encoding="utf-8")) == read
+
+
 def test_guards_catch_what_they_name():
     tree = ast.parse("import numpy as np\nfrom x import a, b\n"
                      "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
@@ -622,3 +661,10 @@ def test_guards_catch_what_they_name():
     assert sorted(funcs) == ["_large", "_small", "_top", "gap", "norm"]
     assert unguarded_solves(funcs["_large"], "_ok") == [13]
     assert unguarded_solves(funcs["_small"], "_ok") == [6]
+    tree = ast.parse("def _p(knobs):\n    return knobs['r'], _p(knobs)\n\n\n"
+                     "def cmd(knobs, other):\n"
+                     "    return _p(knobs), knobs['mesh'], other['seed'], _p(other)\n")
+    assert knobs_read(tree, "cmd") == {"r", "mesh"}
+    assert knob_table("| subcommand | knobs it reads |\n|---|---|\n| `a` | none |\n"
+                      "| `b` | `r`, `mesh` |\n\n| `c` | `seed` |\n") == {
+        "a": set(), "b": {"r", "mesh"}}

@@ -425,6 +425,14 @@ class TestStrictReaders:
         with pytest.raises(MalformedInputError, match="^line 4: "):
             load_path(path_text.replace("horizon: 2", "horizon: two"))
 
+    @pytest.mark.parametrize("horizon", ["99", "1", "2.0000000000000004"])
+    def test_horizon_is_the_last_time(self, horizon):
+        path_text, load_path = _valid_files()["path"]
+        assert load_path(path_text.replace("horizon: 2", "horizon: 2.0")).horizon == 2
+        with pytest.raises(MalformedInputError,
+                           match=f"^line 4: horizon {horizon} is not the last time 2$"):
+            load_path(path_text.replace("horizon: 2", f"horizon: {horizon}"))
+
     def test_text_naming_a_file_is_not_read(self, tmp_path):
         named = tmp_path / "complex.txt"
         named.write_text("0 1\n", encoding="utf-8")
