@@ -208,19 +208,20 @@ COMMANDS = {
 
 
 def build_parser():
+    # no abbreviations: a flag prefix would set whichever knob it alone matches
     top = argparse.ArgumentParser(
-        prog="coarsek",
+        prog="coarsek", allow_abbrev=False,
         description="finite-matrix propagation-controlled operator toolbox")
     top.add_argument("--config", help="key = value defaults file")
     sub = top.add_subparsers(dest="command", required=True)
     for name, (positional, _) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for pos in positional:
             p.add_argument(pos)
         for key in KNOB_DEFAULTS:
             p.add_argument(f"--{key}", type=type(KNOB_DEFAULTS[key]),
                            choices=CHOICES.get(key))
-    rp = sub.add_parser("report", help="merge report files")
+    rp = sub.add_parser("report", help="merge report files", allow_abbrev=False)
     rp.add_argument("inputs", nargs="*")
     rp.add_argument("--out")
     return top

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linear_sum_assignment
 
 from .controlled import (
     HomotopyCertificate,
@@ -35,6 +33,7 @@ from .operator import (
     FiniteOperator,
     amplify_map,
     amplify_scalar_matrix,
+    block_diag,
     direct_sum,
     doubled_rotation,
     opnorm,
@@ -154,13 +153,72 @@ def delta_cover(f, delta, bias="nearest"):
         row = np.where(open_slots, tgt.dist[tgt_point, f(x)] + 1e-9 * tie, np.inf)
         cost[src.offsets[x]:src.offsets[x + 1], :] = row
     try:
-        rows, cols = linear_sum_assignment(cost)
+        cols = _assignment(cost)
     except ValueError as exc:
         raise CapacityError(
             f"no isometry packing exists at delta={delta}: {exc}") from exc
     matrix = np.zeros((tgt.total_dim, src.total_dim))
-    matrix[cols, rows] = 1.0
+    matrix[cols, np.arange(src.total_dim)] = 1.0
     return CoverIsometry(f, delta, matrix)
+
+
+def _assignment(cost):
+    """The column of each row in a minimum-cost assignment of the rows of
+    ``cost``, a matrix with no more rows than columns and with entries that
+    are finite or +inf; ValueError ``cost matrix is infeasible`` when every
+    assignment meets an inf.
+
+    A numpy port of ``scipy.optimize.linear_sum_assignment``: one shortest
+    augmenting path per row, with dual potentials (Crouse, On implementing
+    2D rectangular assignment algorithms, IEEE TAES 52(4), 2016).  It keeps
+    scipy's scan over the columns not yet reached (in reverse order at
+    first, each reached column swapped out for the last one), its
+    arithmetic and its tie rule: of the columns at the least path cost, the
+    last unassigned one, else the first.  So it picks scipy's columns."""
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col4row, row4col = np.full(n_rows, -1), np.full(n_cols, -1)
+    path = np.full(n_cols, -1)
+    for cur in range(n_rows):
+        remaining = np.arange(n_cols)[::-1].copy()
+        left = n_cols
+        rows_seen = np.zeros(n_rows, bool)
+        cols_seen = np.zeros(n_cols, bool)
+        lengths = np.full(n_cols, np.inf)
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            rows_seen[i] = True
+            cols = remaining[:left]
+            r = min_val + cost[i, cols] - u[i] - v[cols]
+            shorter = r < lengths[cols]
+            path[cols[shorter]] = i
+            lengths[cols[shorter]] = r[shorter]
+            reach = lengths[cols]
+            min_val = reach.min()
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            free = np.flatnonzero((reach == min_val) & (row4col[cols] == -1))
+            index = free[-1] if free.size else int(reach.argmin())
+            j = cols[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+        u[cur] += min_val
+        rows_seen[cur] = False
+        u[rows_seen] += min_val - lengths[col4row[rows_seen]]
+        v[cols_seen] -= min_val - lengths[cols_seen]
+        j = sink
+        while True:  # augment along the path back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def ad(cover, op):

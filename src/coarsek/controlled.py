@@ -52,7 +52,7 @@ class QuasiParams:
     def __post_init__(self):
         if not 0 < self.eps < 0.25:
             raise DomainError(f"eps={self.eps} outside (0, 1/4)")
-        if self.r <= 0:
+        if not self.r > 0:  # NaN too
             raise DomainError("r must be positive")
 
 

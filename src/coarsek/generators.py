@@ -9,7 +9,6 @@ reproducible independently of the others.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .controlled import defect_and_rank, unitary_defects
 from .errors import DomainError
@@ -68,10 +67,17 @@ def haar_unitary(n, rng):
 
 
 def banded_near_unitary(space, r, rng, amplification=1, strength=0.25):
-    """exp of a small banded skew-Hermitian; nearly banded, exactly unitary."""
+    """exp of a small banded skew-Hermitian; nearly banded, exactly unitary.
+
+    The skew-Hermitian ``(a - a*) / 2`` is ``i h`` for the Hermitian
+    ``h = (a - a*) / 2i``, so its exponential is ``Q diag(exp(i w)) Q*``
+    from ``eigh(h) = (w, Q)``: the eigenvector method, well conditioned for
+    a normal matrix (Moler & Van Loan, Nineteen Dubious Ways to Compute the
+    Exponential of a Matrix, Twenty-Five Years Later, SIAM Review 45,
+    2003)."""
     a = random_banded(space, r, rng, amplification, norm=strength).entries
-    skew = (a - a.conj().T) / 2
-    return expm(skew)
+    w, q = np.linalg.eigh((a - a.conj().T) / 2j)
+    return (q * np.exp(1j * w)) @ q.conj().T
 
 
 def random_quasi_projection(space, params, rng, rank=None):

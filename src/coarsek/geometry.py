@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     DomainError,
@@ -375,11 +373,27 @@ def _portal_metric(n, members, arcs):
 
 
 def _graph_metric(weights):
+    """Shortest-path metric of the undirected graph whose edges are the
+    finite positive ``weights`` (the smaller one where both orientations
+    have one), ``inf`` between components.  Dijkstra from every source at
+    once: each round settles, in every row, the nearest node not yet
+    settled and relaxes that row with ``d_u + w_uv``.  A distance is thus
+    the least sum along a path, added in path order, as in scipy's
+    Dijkstra; the metric takes the smaller of ``d_xy`` and ``d_yx``."""
     n = weights.shape[0]
-    ii, jj = np.nonzero(np.isfinite(weights) & (weights > 0))
-    graph = coo_matrix((weights[ii, jj], (ii, jj)), shape=(n, n))
-    d = shortest_path(graph.tocsr(), method="D", directed=False)
+    w = np.where(np.isfinite(weights) & (weights > 0), weights, np.inf)
+    w = np.minimum(w, w.T)
+    d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
+    unsettled = np.ones((n, n), bool)
+    rows = np.arange(n)
+    for _ in range(n):
+        u = np.where(unsettled, d, np.inf).argmin(axis=1)
+        du = d[rows, u]
+        if not np.isfinite(du).any():
+            break  # every row has settled all it reaches
+        unsettled[rows, u] = False
+        np.minimum(d, du[:, None] + w[u], out=d)
     return np.minimum(d, d.T)
 
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .controlled import kappa_even
 from .errors import DomainError, PropagationError, VerificationFailure
@@ -34,6 +33,7 @@ from .operator import (
     DEFAULT_TAU,
     FiniteOperator,
     block_abs_max,
+    block_diag,
     doubled_rotation,
     lift,
     opnorm,

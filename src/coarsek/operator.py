@@ -22,9 +22,9 @@ Only this module spells the layout out: ``coordinates_of`` (the coordinates
 of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
 blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
-part), ``direct_sum`` (copies side by side), ``amplify_map`` (a module map
-on every copy) and ``doubled_rotation`` (the rotation between the two
-halves of a doubled module).
+part), ``direct_sum`` (copies side by side, through ``block_diag``),
+``amplify_map`` (a module map on every copy) and ``doubled_rotation`` (the
+rotation between the two halves of a doubled module).
 
 Every norm and defect reads the blocks of one split of the nonzero pattern.
 The defects read ``spectrum``, the block eigenvalues or squared singular
@@ -35,7 +35,8 @@ larger one takes Lanczos on its Gram matrix from a fixed start vector, at
 most ``LANCZOS_STEPS`` steps.  The iteration stops once the top Ritz
 value's residual, or its Kato-Temple error estimate (the squared residual
 over the gap to the next Ritz value), is at most ``8 n eps`` times that
-value.  The Ritz value is kept only when a Cholesky factorisation with an
+value; every fourth step one dense ``eigh`` of the tridiagonal matrix gives
+both.  The Ritz value is kept only when a Cholesky factorisation with an
 explicit rounding margin certifies it, else the block falls back to
 ``eigvalsh``; neither stop rule is part of that proof.  A norm from
 ``eigvalsh`` agrees with a whole-matrix solve up to rounding.  A certified
@@ -45,14 +46,15 @@ practice the two agree to a few units of rounding.  Either way norms may
 differ from earlier versions in the last bits.  Each Gram product is taken
 of a block scaled by an exact power of two when its entries are too large
 or too small to square safely.
+
+All of it is numpy: the pattern's components come from min-label hooking,
+and the library imports no scipy, so every product and factorisation runs
+on numpy's one OpenBLAS thread pool.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag, eigh_tridiagonal
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, ShapeError
 
@@ -276,16 +278,32 @@ def _pattern_blocks(m, herm):
 
 def _pattern_components(nz, rows, cols, herm):
     """Component labels of the listed rows and columns of a boolean pattern:
-    of the symmetric graph when ``herm``, else of the bipartite graph."""
+    of the symmetric graph when ``herm``, else of the bipartite graph (rows
+    first, then columns).  Min-label hooking with pointer jumping over the
+    edges: each round hooks every root to the least root across its edges
+    and then points every node at its root, so a root is always the least
+    node of its tree.  Labels count components in the order of their least
+    nodes, the order of ``scipy.sparse.csgraph.connected_components``."""
     n_rows, n_cols = rows.size, cols.size
     i, j = np.nonzero(nz if (n_rows, n_cols) == nz.shape else nz[np.ix_(rows, cols)])
-    nodes = n_rows if herm else n_rows + n_cols
-    indptr = np.full(nodes + 1, i.size)
-    indptr[0] = 0
-    indptr[1:n_rows + 1] = np.cumsum(np.bincount(i, minlength=n_rows))
-    graph = csr_matrix((np.ones(i.size), j if herm else j + n_rows, indptr),
-                       shape=(nodes, nodes))
-    labels = connected_components(graph, directed=False)[1]
+    if not herm:
+        j = j + n_rows
+    root = np.arange(n_rows if herm else n_rows + n_cols)
+    while True:
+        ri, rj = root[i], root[j]
+        split = ri != rj
+        if not split.any():
+            break
+        ri, rj = ri[split], rj[split]
+        low = np.minimum(ri, rj)
+        np.minimum.at(root, ri, low)
+        np.minimum.at(root, rj, low)
+        while True:  # root[x] <= x, so jumping ends at the roots
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    labels = np.unique(root, return_inverse=True)[1]
     return (labels, labels) if herm else (labels[:n_rows], labels[n_rows:])
 
 
@@ -343,9 +361,10 @@ def _lanczos_norm(b):
     """The top eigenvalue of the Gram matrix on the smaller side of one block
     (its squared norm).  The Gram matrix is formed once; the Lanczos value
     is returned when ``_certified`` proves it, else the ``eigvalsh`` of that
-    matrix.  All of it runs on numpy's BLAS: scipy's BLAS and LAPACK routines
-    run on a second OpenBLAS thread pool, and alternating the two pools
-    makes these mid-size products several times slower on two cores."""
+    matrix.  All of it runs on numpy's BLAS and LAPACK, the library's one
+    OpenBLAS thread pool: a second pool (scipy bundles its own) alternating
+    with it makes these mid-size products several times slower on two
+    cores."""
     p, q = b.shape
     g = _gram(b if q <= p else b.T)
     theta = _lanczos_top(g)
@@ -376,10 +395,10 @@ def _lanczos_top(g):
     Ritz value ``theta`` once its residual ``rho = beta_k |s_k|`` or the
     Kato-Temple estimate of its error, ``rho**2 / (theta - theta_2)`` with
     ``theta_2`` the next Ritz value, is at most ``8 n eps theta`` (tested
-    every fourth step), or None when ``LANCZOS_STEPS`` steps do not get
-    there (Golub & Van Loan, Matrix
-    Computations, 4th ed., 10.1 and 10.4; Parlett, The Symmetric Eigenvalue
-    Problem, 1998, for the Kato-Temple bound).  ``theta_2`` is at most the
+    every fourth step by ``_ritz_top``), or None when ``LANCZOS_STEPS``
+    steps do not get there (Golub & Van Loan, Matrix Computations, 4th ed.,
+    10.1 and 10.4; Parlett, The Symmetric Eigenvalue Problem, 1998, for the
+    Kato-Temple bound).  ``theta_2`` is at most the
     second eigenvalue, so the estimate can fall short of the error: only
     ``_certified`` makes the value sound."""
     n = g.shape[0]
@@ -397,13 +416,22 @@ def _lanczos_top(g):
         alpha[j] = (h[j] + h2[j]).real
         beta[j] = np.sqrt(np.vdot(w, w).real)
         if j % 4 == 3 or beta[j] == 0:
-            theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
-                                        select_range=(max(j - 1, 0), j))
-            rho, goal = beta[j] * abs(s[-1, -1]), 8 * n * _EPS * theta[-1]
+            theta, s = _ritz_top(alpha[:j + 1], beta[:j])
+            rho, goal = beta[j] * s, 8 * n * _EPS * theta[-1]
             if rho <= goal or rho * rho <= goal * (theta[-1] - theta[0]):
                 return theta[-1]
         np.divide(w, beta[j], out=basis[j + 1])
     return None
+
+
+def _ritz_top(alpha, beta):
+    """``(theta, s)``: the top two Ritz values, ascending (the top one alone
+    for a 1x1 matrix), of the symmetric tridiagonal matrix with diagonal
+    ``alpha`` and off-diagonal ``beta``, and the modulus of the last
+    component of the top one's unit eigenvector.  One ``eigh`` of the dense
+    matrix, which reads its lower triangle."""
+    w, v = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+    return w[-2:], abs(v[-1, -1])
 
 
 def _certified(g, theta, inner):
@@ -530,6 +558,18 @@ def direct_sum(ops):
         scalar = np.concatenate([np.zeros(o.amplification, dtype=complex)
                                  if o.scalar is None else o.scalar for o in ops])
     return FiniteOperator._owning(space, block_diag(*(o.entries for o in ops)), k, scalar)
+
+
+def block_diag(*blocks):
+    """The block-diagonal matrix of the 2-D ``blocks``, in their common
+    dtype: ``scipy.linalg.block_diag``'s value for 2-D blocks."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0),
+                   np.result_type(*(b.dtype for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def amplify_map(matrix, amplification):

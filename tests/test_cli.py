@@ -467,6 +467,27 @@ class TestStrictInputs:
         files = self._quasi_check_inputs(tmp_path)
         assert main(["quasi-check", *files, flag, "0", "--out", outdir]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--s", "3"), ("--t", "3"),
+                                             ("--eps", "0.1"), ("--par", "odd")],
+                             ids=["--s", "--t", "--eps", "--par"])
+    def test_flag_prefixes_exit_2(self, tmp_path, outdir, flag, value):
+        # a prefix would set whichever knob it alone matches: --s the seed
+        files = self._quasi_check_inputs(tmp_path)
+        assert main(["quasi-check", *files, flag, value, "--out", outdir]) == 2
+        assert not os.path.exists(os.path.join(outdir, "quasi-check.report.txt"))
+
+    def test_config_flag_prefix_exits_2(self, tmp_path, outdir):
+        files = self._quasi_check_inputs(tmp_path)
+        cfg = write(tmp_path / "knobs.cfg", "r = 0.5\n")
+        assert main(["--conf", cfg, "quasi-check", *files, "--out", outdir]) == 2
+
+    @pytest.mark.parametrize("r", ["nan", "0", "-1"])
+    def test_r_that_is_not_positive_exits_3(self, tmp_path, outdir, capsys, r):
+        files = self._quasi_check_inputs(tmp_path)
+        assert main(["quasi-check", *files, "--r", r, "--out", outdir]) == 3
+        assert capsys.readouterr().err == "FAIL: r must be positive\n"
+        assert not os.path.exists(os.path.join(outdir, "quasi-check.report.txt"))
+
     @pytest.mark.parametrize("line", ["epsilonn = 0.3", "= 0.3", "Epsilon = 0.3",
                                       "tau = 0.5", "steps = 0"])
     def test_unknown_config_key(self, tmp_path, outdir, capsys, line):

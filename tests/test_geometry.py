@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from coarsek import geometry
 from coarsek.errors import (
@@ -31,6 +29,7 @@ from coarsek.geometry import (
     simplex_center,
 )
 from coarsek.serialize import dumps_space, loads_space, space_hash
+from test_numpy_kernels import scipy_graph_metric
 
 
 def edge_angle(coords):
@@ -394,11 +393,7 @@ def all_sample_metric(space, complex_):
         arcs = np.arccos(np.clip(vecs @ vecs.T, -1.0, 1.0))
         sub = np.ix_(idxs, idxs)
         w[sub] = np.minimum(w[sub], arcs)
-    ii, jj = np.nonzero(np.isfinite(w) & (w > 0))
-    graph = coo_matrix((w[ii, jj], (ii, jj)), shape=(n, n))
-    d = shortest_path(graph.tocsr(), method="D", directed=False)
-    np.fill_diagonal(d, 0.0)
-    return np.minimum(d, d.T)
+    return scipy_graph_metric(w)
 
 
 def assert_matches_oracle(complex_, mesh):
@@ -441,9 +436,9 @@ def test_portal_metric_matches_graph_metric_on_random_complexes(maximal, mesh):
 
 def test_dijkstra_sees_only_portals(monkeypatch):
     seen = []
-    search = geometry.shortest_path
-    monkeypatch.setattr(geometry, "shortest_path",
-                        lambda graph, **kw: seen.append(graph.shape[0]) or search(graph, **kw))
+    metric = geometry._graph_metric
+    monkeypatch.setattr(geometry, "_graph_metric",
+                        lambda weights: seen.append(weights.shape[0]) or metric(weights))
     x = build_complex(TETRA)
     s = discretize(x, 0.12)
     maximal = [set(t) for t in x.maximal_simplices()]

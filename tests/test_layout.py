@@ -3,10 +3,10 @@
 formatted by the one number writer, whether a matrix is Hermitian is decided
 only in ``operator`` and ``controlled`` solves a whole-matrix eigenproblem
 only where it needs eigenvectors (``kappa_even``), ``opnorm`` runs no
-Hermitian test and no dense eigensolve outside its small-block path and its
-Lanczos fallback, no module imports from ``scipy.linalg.blas`` or
-``scipy.linalg.lapack``, no module keeps an import it no longer uses, no
-private top-level name is left unread, and no public function, class or
+Hermitian test and no dense eigensolve outside its small-block path, its
+Lanczos fallback and the Lanczos tridiagonal matrix, no module imports
+scipy (nor does importing the package load it), no module keeps an import
+it no longer uses, no private top-level name is left unread, and no public function, class or
 method is reached only by tests.  A re-export in ``__init__`` reads
 nothing, and a method is read only as an attribute of a value that is not
 an imported module; the names the benchmark's tracer looks up by string
@@ -17,7 +17,10 @@ table of the knobs each CLI subcommand reads is the set its handler reads."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,11 +399,14 @@ def reachable(tree, root):
     return {name: defs[name] for name in seen}
 
 
-def scipy_blas_imports(tree):
-    """Line numbers of imports from ``scipy.linalg.blas`` or ``scipy.linalg.lapack``."""
+def scipy_imports(tree):
+    """Line numbers of imports of ``scipy`` or of any of its modules."""
+    def is_scipy(name):
+        return name == "scipy" or name.startswith("scipy.")
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and node.module in {"scipy.linalg.blas", "scipy.linalg.lapack"}]
+            if isinstance(node, ast.Import) and any(is_scipy(a.name) for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and is_scipy(node.module)]
 
 
 def unguarded_solves(func, guard):
@@ -479,19 +485,34 @@ def test_opnorm_solves_only_small_blocks_and_fallbacks():
     assert "hermitian_gap" not in funcs, "opnorm is the top singular value of every input"
     solvers = {name for name, func in funcs.items()
                if any(eigen_solve(node) for node in ast.walk(func))}
-    assert solvers == {"_gram_eigvalsh", "_lanczos_norm"}, (
-        "opnorm solves dense eigenproblems only for small blocks and as the fallback")
+    assert solvers == {"_gram_eigvalsh", "_lanczos_norm", "_ritz_top"}, (
+        "opnorm solves dense eigenproblems only for small blocks, as the fallback "
+        "and for the Lanczos tridiagonal matrix")
+    callers = {node.name for node in ast.walk(tree_of(SRC / "operator.py"))
+               if isinstance(node, ast.FunctionDef) and "_ritz_top" in called_names(node)}
+    assert callers == {"_lanczos_top"}, "only Lanczos solves its tridiagonal matrix"
     assert unguarded_solves(funcs["_lanczos_norm"], "_certified") == [], (
         "a large block's eigvalsh runs only when the Lanczos value is not certified")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_direct_scipy_blas(path):
-    # scipy bundles its own OpenBLAS with its own thread pool; calls that
-    # alternate between it and numpy's run several times slower when both
-    # pools have more than one thread
-    assert scipy_blas_imports(tree_of(path)) == [], (
-        "take matrix products and factorisations through numpy")
+    # no scipy at all: scipy bundles its own OpenBLAS with its own thread
+    # pool, and calls that alternate between it and numpy's run several
+    # times slower when both pools have more than one thread; and importing
+    # its linalg, sparse and optimize modules takes a CLI call longer than
+    # the work on a small input
+    assert scipy_imports(tree_of(path)) == [], (
+        "the library imports no scipy; write the kernel in numpy")
+
+
+def test_importing_the_library_loads_no_scipy():
+    code = ("import sys, coarsek, coarsek.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=120).stdout.split()
+    assert loaded == [], f"importing coarsek loads {len(loaded)} scipy modules: {loaded[:4]}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -563,9 +584,11 @@ def test_guards_catch_what_they_name():
                      "np.tile(a, 2)\nnp.repeat(a, 3)\nnp.arange(4)\n")
     assert numpy_calls(tree, {"repeat", "tile"}) == [3, 4]
     imports = ast.parse("from scipy.linalg import eigh_tridiagonal\n"
-                        "from scipy.linalg.blas import zgemv\n"
-                        "from scipy.linalg.lapack import zpotrf\n")
-    assert scipy_blas_imports(imports) == [2, 3]
+                        "import numpy, scipy.sparse as sp\n"
+                        "from . import scipy\n"
+                        "from scipyx import y\n"
+                        "import scipy\n")
+    assert scipy_imports(imports) == [1, 2, 5]
     assert unused_imports(tree) == [(2, "b")]
     tree = ast.parse('_F = "{:.17g}"\n__all__ = []\n\n\ndef _fmt(x):\n    return _F % x\n\n\n'
                      "def _fmt_complex(z):\n    return _fmt(z.real)\n\n\n"
