@@ -6,13 +6,14 @@ fixed seed and are written atomically into the output directory.  Exit
 codes: 0 success, 1 verification failure (with a FAIL: line), 2 parse
 errors, 3 precondition violations.
 
-Every subcommand but ``report`` is a ``COMMANDS`` row: positional files and
-a handler returning an ``Outcome``, which ``run`` writes as the report.
+Every subcommand but ``report`` is a ``COMMANDS`` handler, declared by its
+signature: files positional, knobs keyword-only, a flag each, plus ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import NamedTuple
@@ -66,11 +67,7 @@ def _load_operator(space_file, operator_file):
     return _load(serialize.loads_operator, operator_file, space)
 
 
-def _params(knobs):
-    return controlled.QuasiParams(knobs["epsilon"], knobs["r"])
-
-
-def _complex_validate(knobs, complex_file):
+def _complex_validate(complex_file):
     cx = _load(serialize.loads_complex, complex_file)
     return Outcome({"vertices": len(cx.vertices),
                     "simplices": len(cx.simplices),
@@ -78,37 +75,37 @@ def _complex_validate(knobs, complex_file):
                     "face_closed": cx.faces_closed()})
 
 
-def _discretize(knobs, complex_file):
+def _discretize(complex_file, *, mesh, fiber, out):
     cx = _load(serialize.loads_complex, complex_file)
-    space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
+    space = discretize(cx, mesh, fiber_dim=fiber)
     text = serialize.dumps_space(space)
-    _write(knobs["out"], "space.txt", text)
-    return Outcome({"mesh": knobs["mesh"], "points": len(space),
+    _write(out, "space.txt", text)
+    return Outcome({"mesh": mesh, "points": len(space),
                     "total_dim": space.total_dim,
                     "space_hash": serialize.digest(text)})
 
 
-def _op_prop(knobs, space_file, operator_file):
+def _op_prop(space_file, operator_file):
     op = _load_operator(space_file, operator_file)
     prop = propagation(op)
     return Outcome({"support_pairs": int(support(op).sum()),
                     "propagation": prop, "opnorm": opnorm(op)})
 
 
-def _quasi_check(knobs, space_file, operator_file):
+def _quasi_check(space_file, operator_file, *, epsilon, r, parity):
     op = _load_operator(space_file, operator_file)
-    ok, wit = controlled.is_quasi(op, knobs["parity"], _params(knobs))
-    return Outcome({"parity": knobs["parity"], "passed": ok, **wit},
-                   failure=None if ok else f"{knobs['parity']} quasi-test failed: {wit}")
+    ok, wit = controlled.is_quasi(op, parity, controlled.QuasiParams(epsilon, r))
+    return Outcome({"parity": parity, "passed": ok, **wit},
+                   failure=None if ok else f"{parity} quasi-test failed: {wit}")
 
 
-def _k0_points(knobs, space_file, operator_file):
+def _k0_points(space_file, operator_file, *, epsilon, r):
     op = _load_operator(space_file, operator_file)
-    classes = controlled.k0_points(op, _params(knobs))
+    classes = controlled.k0_points(op, controlled.QuasiParams(epsilon, r))
     return Outcome({"classes": " ".join(str(c) for c in classes)})
 
 
-def _certify_homotopy(knobs, space_file, certificate_file):
+def _certify_homotopy(space_file, certificate_file):
     space = _load(serialize.loads_space, space_file)
     cert = _load(serialize.loads_certificate, certificate_file, space)
     ok, rep = controlled.verify_certificate(cert)
@@ -124,17 +121,16 @@ def _map_and_operator(source_space, target_space, map_file, operator_file):
     return f, _load(serialize.loads_operator, operator_file, src)
 
 
-def _coarse_ad(knobs, *files):
-    f, op = _map_and_operator(*files)
-    r = knobs["r"]
+def _coarse_ad(source_space, target_space, map_file, operator_file, *, r, delta, out):
+    f, op = _map_and_operator(source_space, target_space, map_file, operator_file)
     if not r > 0:
         raise DomainError("r must be positive")
-    out = coarse.ad(coarse.delta_cover(f, knobs["delta"]), op)
+    transported = coarse.ad(coarse.delta_cover(f, delta), op)
     omega = coarse.expansion_function(f, r)
-    bound = omega + 2 * knobs["delta"]
+    bound = omega + 2 * delta
     prop_in = propagation(op)
-    prop_out = propagation(out)
-    _write(knobs["out"], "transported.txt", serialize.dumps_operator(out))
+    prop_out = propagation(transported)
+    _write(out, "transported.txt", serialize.dumps_operator(transported))
     ok = not (prop_in < r) or prop_out < bound
     return Outcome({"expansion": omega, "propagation_in": prop_in,
                     "propagation_out": prop_out, "bound": bound,
@@ -143,14 +139,14 @@ def _coarse_ad(knobs, *files):
                    failure=None if ok else "transported propagation exceeds the bound")
 
 
-def _rotation_homotopy(knobs, *files):
-    f, op = _map_and_operator(*files)
-    params = _params(knobs)
-    v1 = coarse.delta_cover(f, knobs["delta"])
-    v2 = coarse.delta_cover(f, knobs["delta"], bias="pack-high")
-    cert = coarse.rotation_homotopy(v1, v2, op, params)
+def _rotation_homotopy(source_space, target_space, map_file, operator_file, *,
+                       epsilon, r, delta, out):
+    f, op = _map_and_operator(source_space, target_space, map_file, operator_file)
+    v1 = coarse.delta_cover(f, delta)
+    v2 = coarse.delta_cover(f, delta, bias="pack-high")
+    cert = coarse.rotation_homotopy(v1, v2, op, controlled.QuasiParams(epsilon, r))
     ok, rep = controlled.verify_certificate(cert)
-    _write(knobs["out"], "certificate.txt", serialize.dumps_certificate(cert))
+    _write(out, "certificate.txt", serialize.dumps_certificate(cert))
     keys = ("samples", "worst_defect", "worst_propagation")
     return Outcome({"passed": ok, **{k: rep[k] for k in keys},
                     "ambient_r": cert.params.r},
@@ -158,12 +154,11 @@ def _rotation_homotopy(knobs, *files):
                    f"rotation certificate rejected: {rep['failures'][:3]}")
 
 
-def _mv_verify(knobs, complex_file):
+def _mv_verify(complex_file, *, mesh, fiber, r, epsilon, trials, seed):
     cx = _load(serialize.loads_complex, complex_file)
-    space = discretize(cx, knobs["mesh"], fiber_dim=knobs["fiber"])
-    pair = mv.MvPair.from_decomposition(space, cx, r=knobs["r"])
-    rep = mv.verify_weak_mv_pair(space, pair, trials=knobs["trials"],
-                                 seed=knobs["seed"], eps=knobs["epsilon"])
+    space = discretize(cx, mesh, fiber_dim=fiber)
+    pair = mv.MvPair.from_decomposition(space, cx, r=r)
+    rep = mv.verify_weak_mv_pair(space, pair, trials=trials, seed=seed, eps=epsilon)
     keys = ("passed", "degree", "worst_split_ratio", "worst_cia_ratio",
             "worst_reconstruction", "coercity_bound", "trials")
     return Outcome({k: rep[k] for k in keys}, table=rep["table"],
@@ -171,40 +166,43 @@ def _mv_verify(knobs, complex_file):
                    "weak decomposition axioms violated; see report")
 
 
-def _clutching_index(knobs, space_file, operator_file, cut_file, region_file):
+def _clutching_index(space_file, operator_file, cut_file, region_file):
     op = _load_operator(space_file, operator_file)
     phi = mv.CutFunction(_load(serialize.loads_numbers, cut_file))
     region = _load(serialize.loads_numbers, region_file, int) != 0
     return Outcome({"index": mv.local_index(op, phi, region)})
 
 
-def _path_trim(knobs, space_file, path_file):
+def _path_trim(space_file, path_file, *, r, out):
     space = _load(serialize.loads_space, space_file)
     path = _load(serialize.loads_path, path_file, space)
-    n = paths.eventual_propagation(path, knobs["r"])
+    n = paths.eventual_propagation(path, r)
     trimmed = paths.trim(path, n)
-    _write(knobs["out"], "trimmed-path.txt", serialize.dumps_path(trimmed))
+    _write(out, "trimmed-path.txt", serialize.dumps_path(trimmed))
     return Outcome({"trim_time": n, "samples_left": len(trimmed),
                     "horizon": trimmed.horizon})
 
 
-_MAP_ARGS = ("source_space", "target_space", "map_file", "operator_file")
-
 COMMANDS = {
-    "complex-validate": (("complex_file",), _complex_validate),
-    "discretize": (("complex_file",), _discretize),
-    "op-prop": (("space_file", "operator_file"), _op_prop),
-    "quasi-check": (("space_file", "operator_file"), _quasi_check),
-    "k0-points": (("space_file", "operator_file"), _k0_points),
-    "certify-homotopy": (("space_file", "certificate_file"),
-                         _certify_homotopy),
-    "coarse-ad": (_MAP_ARGS, _coarse_ad),
-    "rotation-homotopy": (_MAP_ARGS, _rotation_homotopy),
-    "mv-verify": (("complex_file",), _mv_verify),
-    "clutching-index": (("space_file", "operator_file", "cut_file",
-                         "region_file"), _clutching_index),
-    "path-trim": (("space_file", "path_file"), _path_trim),
+    "complex-validate": _complex_validate,
+    "discretize": _discretize,
+    "op-prop": _op_prop,
+    "quasi-check": _quasi_check,
+    "k0-points": _k0_points,
+    "certify-homotopy": _certify_homotopy,
+    "coarse-ad": _coarse_ad,
+    "rotation-homotopy": _rotation_homotopy,
+    "mv-verify": _mv_verify,
+    "clutching-index": _clutching_index,
+    "path-trim": _path_trim,
 }
+
+
+def _arguments(handler):
+    """Names of the handler's positional (files) and keyword-only (knobs) parameters."""
+    params = inspect.signature(handler).parameters.values()
+    return ([p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD],
+            [p.name for p in params if p.kind is p.KEYWORD_ONLY])
 
 
 def build_parser():
@@ -214,11 +212,12 @@ def build_parser():
         description="finite-matrix propagation-controlled operator toolbox")
     top.add_argument("--config", help="key = value defaults file")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (positional, _) in COMMANDS.items():
+    for name, handler in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for pos in positional:
+        files, knobs = _arguments(handler)
+        for pos in files:
             p.add_argument(pos)
-        for key in KNOB_DEFAULTS:
+        for key in dict.fromkeys([*knobs, "out"]):
             p.add_argument(f"--{key}", type=type(KNOB_DEFAULTS[key]),
                            choices=CHOICES.get(key))
     rp = sub.add_parser("report", help="merge report files", allow_abbrev=False)
@@ -267,9 +266,10 @@ def run(args):
     knobs = resolve_knobs(args)
     if args.command not in COMMANDS:
         return _merge_reports(args.inputs, args.out)
-    positional, handler = COMMANDS[args.command]
-    fields, table, failure = handler(
-        knobs, *(getattr(args, name) for name in positional))
+    handler = COMMANDS[args.command]
+    files, names = _arguments(handler)
+    fields, table, failure = handler(*(getattr(args, name) for name in files),
+                                     **{key: knobs[key] for key in names})
     _write(knobs["out"], f"{args.command}.report.txt",
            serialize.dumps_report({"command": args.command, **fields}, table))
     if failure:

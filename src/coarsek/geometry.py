@@ -231,11 +231,21 @@ def valid_mesh(mesh):
     return mesh is None or 0 < mesh < math.inf
 
 
+# The largest fiber dimension a space file can hold: a dense operator over
+# one fiber of this dimension alone would take 64 GiB.
+MAX_FIBER_DIM = 1 << 16
+
+# The most samples discretize builds: the dense N x N float64 metric of
+# 2**14 samples already takes 2 GiB.
+MAX_SAMPLES = 1 << 14
+
+
 def _lattice_subdivisions(mesh, dim):
     # Arc distance is sqrt(k+1)-Lipschitz in the l2 barycentric metric and the
     # step-1/m lattice covers a k-simplex to l2 radius sqrt(2)/m, so this step
-    # count keeps every point within `mesh` of a sample.
-    return max(1, math.ceil(math.sqrt(2.0 * (dim + 1)) / mesh))
+    # count keeps every point within `mesh` of a sample.  Past MAX_SAMPLES + 1
+    # an edge alone holds too many samples, so the count stops there.
+    return max(1, math.ceil(min(math.sqrt(2.0 * (dim + 1)) / mesh, MAX_SAMPLES + 1)))
 
 
 def _support_face(simplex, coords):
@@ -256,9 +266,15 @@ def discretize(complex_, mesh, fiber_dim=1):
     """
     if mesh is None or not valid_mesh(mesh):
         raise DomainError("mesh must be finite and positive")
-    if fiber_dim < 1:
-        raise DomainError("fiber_dim must be >= 1")
+    if not 1 <= fiber_dim <= MAX_FIBER_DIM:
+        raise DomainError(f"fiber_dim must be in 1..{MAX_FIBER_DIM}")
     m = _lattice_subdivisions(mesh, complex_.dimension)
+    # each simplex's interior lattice points and its center, counted before
+    # any is built
+    count = sum(math.comb(m - 1, len(s) - 1) + 1 for s in complex_.simplices)
+    if count > MAX_SAMPLES:
+        raise DomainError(f"mesh {mesh} is too fine: discretize builds at most"
+                          f" {MAX_SAMPLES} samples")
 
     seen = {}
     points = []

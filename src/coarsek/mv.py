@@ -138,6 +138,8 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05):
     midpoint construction.  Reports the worst measured constants against
     the claimed coercivity and a plot-ready table.
     """
+    if trials < 1 or seed < 0:
+        raise DomainError(f"need trials >= 1 and seed >= 0, got {trials} and {seed}")
     p1, p2, p3 = split_masks(pair.delta1, pair.delta2)
     s_grid = [pair.r / 4, pair.r / 2, pair.r * 3 / 4, pair.r]
     per_scale = max(1, trials // len(s_grid))

@@ -37,7 +37,7 @@ import numpy as np
 from .coarse import CoarseMap
 from .controlled import HomotopyCertificate, QuasiParams
 from .errors import MalformedInputError
-from .geometry import SamplePoint, SampledSpace, build_complex, valid_mesh
+from .geometry import MAX_FIBER_DIM, SamplePoint, SampledSpace, build_complex, valid_mesh
 from .operator import FiniteOperator
 from .paths import PathOperator
 
@@ -212,10 +212,6 @@ def dumps_space(space):
     return "\n".join([*_space_head(space), "dist:", *_rows(space.dist)]) + "\n"
 
 
-# A dense operator over one fiber of this dimension alone would take 64 GiB.
-_MAX_FIBER_DIM = 1 << 16
-
-
 def loads_space(text):
     with _Reader(text) as rd:
         rd.tag("coarsek-space v1")
@@ -224,9 +220,9 @@ def loads_space(text):
         points, dims = [], []
         for i in range(n):
             idx, point, d = rd.cast(rd.line(), _sample)
-            if idx != i or not 1 <= d <= _MAX_FIBER_DIM:
+            if idx != i or not 1 <= d <= MAX_FIBER_DIM:
                 raise rd.error(f"sample {idx} of fiber dimension {d}; expected"
-                               f" sample {i} of dimension 1..{_MAX_FIBER_DIM}")
+                               f" sample {i} of dimension 1..{MAX_FIBER_DIM}")
             points.append(point)
             dims.append(d)
         rd.tag("dist:")

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from coarsek import serialize
-from coarsek.cli import main
+from coarsek.cli import KNOB_DEFAULTS, main
 from coarsek.coarse import CoarseMap
 from coarsek.controlled import QuasiParams, interpolation_certificate
 from coarsek.generators import (
@@ -74,6 +75,20 @@ class TestBasicCommands:
         assert main(["op-prop", space_file, opf, "--out", outdir]) == 0
         fields, _ = read_report(outdir, "op-prop")
         assert float(fields["propagation"]) < 0.5
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--fiber", "65537"], "fiber_dim must be in 1..65536"),
+        # 2 * 10**7 samples a side: the N x N metric would never fit
+        (["--mesh", "1e-7"], "mesh 1e-07 is too fine"),
+        # the step count 2 / mesh overflows a float
+        (["--mesh", "5e-324"], "mesh 5e-324 is too fine"),
+    ], ids=["fiber", "mesh", "subnormal-mesh"])
+    def test_discretize_refuses_a_space_too_large(self, tmp_path, outdir, capsys,
+                                                  argv, error):
+        cx = write(tmp_path / "circle.txt", "0 1\n1 2\n2 0\n")
+        assert main(["discretize", cx, *argv, "--out", outdir]) == 3
+        assert capsys.readouterr().err.startswith(f"FAIL: {error}")
+        assert not os.path.exists(os.path.join(outdir, "space.txt"))
 
     def test_discretize_formats_the_space_once(self, tmp_path, outdir, monkeypatch):
         calls = []
@@ -223,11 +238,16 @@ class TestCoarseCommands:
         pf = write(tmp_path / "p.txt", dumps_operator(p))
         reports = []
         for eps in ("0.1", "0.3"):
+            # a config file is shared by every subcommand, so coarse-ad
+            # accepts its epsilon (and ignores it), but not --epsilon
+            cfg = write(tmp_path / f"eps-{eps}.cfg", f"epsilon = {eps}\n")
             out = str(tmp_path / f"out-{eps}")
-            assert main(["coarse-ad", sf, tf, mf, pf, "--delta", "0.3", "--r", "0.5",
-                         "--epsilon", eps, "--out", out]) == 0
+            assert main(["--config", cfg, "coarse-ad", sf, tf, mf, pf, "--delta", "0.3",
+                         "--r", "0.5", "--out", out]) == 0
             reports.append(Path(out, "coarse-ad.report.txt").read_bytes())
         assert reports[0] == reports[1]
+        assert main(["coarse-ad", sf, tf, mf, pf, "--epsilon", "0.1",
+                     "--out", outdir]) == 2
         assert main(["coarse-ad", sf, tf, mf, pf, "--delta", "0.3", "--r", "0",
                      "--out", outdir]) == 3
 
@@ -244,6 +264,18 @@ class TestMvCommands:
         assert float(fields["worst_split_ratio"]) <= 4.0
         assert table
 
+    @pytest.mark.parametrize("knob, value", [("seed", "-1"), ("trials", "0"),
+                                             ("trials", "-3")])
+    def test_mv_verify_needs_trials_and_a_seed_numpy_takes(self, tmp_path, outdir,
+                                                           capsys, knob, value):
+        cx = write(tmp_path / "circle.txt", "0 1\n1 2\n2 0\n")
+        cfg = write(tmp_path / "knobs.cfg", f"{knob} = {value}\n")
+        for argv in (["mv-verify", cx, f"--{knob}", value],
+                     ["--config", cfg, "mv-verify", cx]):
+            assert main([*argv, "--mesh", "0.5", "--out", outdir]) == 3
+            assert capsys.readouterr().err.startswith("FAIL: need trials >= 1 and seed >= 0")
+            assert not os.path.exists(os.path.join(outdir, "mv-verify.report.txt"))
+
     def test_clutching_index_cmd(self, tmp_path, outdir):
         _, space, order = circle_space(16)
         sf = write(tmp_path / "space.txt", dumps_space(space))
@@ -257,6 +289,42 @@ class TestMvCommands:
         assert main(["clutching-index", sf, uf, cf, rf, "--out", outdir]) == 0
         fields, _ = read_report(outdir, "clutching-index")
         assert abs(int(fields["index"])) == 1
+
+
+# the number of input files of each subcommand and the knobs it reads
+SUBCOMMANDS = {
+    "complex-validate": (1, set()),
+    "discretize": (1, {"mesh", "fiber"}),
+    "op-prop": (2, set()),
+    "quasi-check": (2, {"epsilon", "r", "parity"}),
+    "k0-points": (2, {"epsilon", "r"}),
+    "certify-homotopy": (2, set()),
+    "coarse-ad": (4, {"r", "delta"}),
+    "rotation-homotopy": (4, {"epsilon", "r", "delta"}),
+    "mv-verify": (1, {"mesh", "fiber", "r", "epsilon", "trials", "seed"}),
+    "clutching-index": (4, set()),
+    "path-trim": (2, {"r"}),
+}
+
+
+class TestSubcommandArguments:
+    """Each subcommand takes its input files, the knobs it reads and --out."""
+
+    @pytest.mark.parametrize("command, knob", [
+        (command, knob) for command, (_, reads) in SUBCOMMANDS.items()
+        for knob in KNOB_DEFAULTS if knob not in reads | {"out"}])
+    def test_unread_knob_flag_exits_2(self, tmp_path, outdir, capsys, command, knob):
+        files = [str(tmp_path / f"in-{i}.txt") for i in range(SUBCOMMANDS[command][0])]
+        assert main([command, *files, f"--{knob}", str(KNOB_DEFAULTS[knob]),
+                     "--out", outdir]) == 2
+        assert f"unrecognized arguments: --{knob}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, f"{command}.report.txt"))
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_help_lists_exactly_its_knobs(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
+        assert flags == SUBCOMMANDS[command][1] | {"help", "out"}
 
 
 class TestReportAndConfig:
@@ -374,8 +442,7 @@ class TestStrictInputs:
     def test_nan_or_negative_distance_exits_2(self, tmp_path, outdir, capsys,
                                               command, bad):
         sf, opf = self._edited_distances(tmp_path, {(0, 2): bad, (2, 0): bad})
-        assert main([command, sf, opf, "--epsilon", "0.1", "--r", "5",
-                     "--out", outdir]) == 2
+        assert main([command, sf, opf, "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: ")
 
     @pytest.mark.parametrize("edit, error", [
@@ -425,10 +492,11 @@ class TestStrictInputs:
 
     @pytest.mark.parametrize("raw", ["3.7", "1e3"])
     def test_config_value_typed_like_the_flag(self, tmp_path, outdir, capsys, raw):
-        # --trials takes an int, so the config file's trials does too
+        # --trials takes an int, so the config file's trials does too, even
+        # for a subcommand that does not read it
         cx = write(tmp_path / "complex.txt", "0 1\n")
-        assert main(["complex-validate", cx, "--trials", raw, "--out", outdir]) == 2
-        capsys.readouterr()
+        assert main(["mv-verify", cx, "--trials", raw, "--out", outdir]) == 2
+        assert f"--trials: invalid int value: '{raw}'" in capsys.readouterr().err
         cfg = write(tmp_path / "knobs.cfg", f"trials = {raw}\n")
         assert main(["--config", cfg, "complex-validate", cx, "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: config line 1: bad trials")

@@ -13,10 +13,12 @@ an imported module; the names the benchmark's tracer looks up by string
 count as read, and each of them must resolve.  One level down, every
 parameter with a default is passed by some caller that is not a test, and
 every parameter of a public function is read by its body.  The README's
-table of the knobs each CLI subcommand reads is the set its handler reads."""
+table of the knobs each CLI subcommand reads is the set of its handler's
+keyword-only parameters."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -419,22 +421,6 @@ def unguarded_solves(func, guard):
             if eigen_solve(node) and id(node) not in guarded]
 
 
-def knobs_read(tree, name):
-    """Keys of the ``knobs[...]`` reads of the function ``name``, and of the
-    module functions it passes ``knobs`` to."""
-    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    keys = set()
-    for node in ast.walk(funcs[name]):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-                and node.value.id == "knobs" and isinstance(node.slice, ast.Constant):
-            keys.add(node.slice.value)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in funcs and node.func.id != name \
-                and any(isinstance(a, ast.Name) and a.id == "knobs" for a in node.args):
-            keys |= knobs_read(tree, node.func.id)
-    return keys
-
-
 def knob_table(text):
     """``{subcommand: knobs}`` of the README table of the knobs each reads."""
     lines = text.splitlines()
@@ -572,10 +558,10 @@ def test_traced_names_resolve():
 
 def test_readme_knob_table_is_what_each_handler_reads():
     from coarsek.cli import COMMANDS
-    tree = tree_of(SRC / "cli.py")
     # every subcommand writes into --out, and the README says so apart
-    read = {name: knobs_read(tree, handler.__name__) - {"out"}
-            for name, (_, handler) in COMMANDS.items()}
+    read = {name: {p.name for p in inspect.signature(handler).parameters.values()
+                   if p.kind is p.KEYWORD_ONLY} - {"out"}
+            for name, handler in COMMANDS.items()}
     assert knob_table((ROOT / "README.md").read_text(encoding="utf-8")) == read
 
 
@@ -684,10 +670,6 @@ def test_guards_catch_what_they_name():
     assert sorted(funcs) == ["_large", "_small", "_top", "gap", "norm"]
     assert unguarded_solves(funcs["_large"], "_ok") == [13]
     assert unguarded_solves(funcs["_small"], "_ok") == [6]
-    tree = ast.parse("def _p(knobs):\n    return knobs['r'], _p(knobs)\n\n\n"
-                     "def cmd(knobs, other):\n"
-                     "    return _p(knobs), knobs['mesh'], other['seed'], _p(other)\n")
-    assert knobs_read(tree, "cmd") == {"r", "mesh"}
     assert knob_table("| subcommand | knobs it reads |\n|---|---|\n| `a` | none |\n"
                       "| `b` | `r`, `mesh` |\n\n| `c` | `seed` |\n") == {
         "a": set(), "b": {"r", "mesh"}}
