@@ -8,7 +8,6 @@ from coarsek.geometry import build_complex, discretize
 from coarsek.operator import (
     FiniteOperator,
     opnorm,
-    product_tau,
     propagation,
     restrict,
     support,
@@ -21,7 +20,7 @@ t = random_banded(space, 0.4, rng)
 s = random_banded(space, 0.6, rng)
 print(f"space with {len(space)} samples")
 print(f"prop(T) = {propagation(t):.4f}   prop(S) = {propagation(s):.4f}")
-print(f"prop(T S) = {propagation(t @ s, product_tau(t, s)):.4f}  "
+print(f"prop(T S) = {propagation(t @ s):.4f}  "
       f"(bound {propagation(t) + propagation(s):.4f})")
 
 print(f"\n||T|| = {opnorm(t):.4f}, support pairs: {support(t).sum()}")

@@ -154,11 +154,11 @@ def _rotation_homotopy(source_space, target_space, map_file, operator_file, *,
                    f"rotation certificate rejected: {rep['failures'][:3]}")
 
 
-def _mv_verify(complex_file, *, mesh, fiber, r, epsilon, trials, seed):
+def _mv_verify(complex_file, *, mesh, fiber, r, trials, seed):
     cx = _load(serialize.loads_complex, complex_file)
     space = discretize(cx, mesh, fiber_dim=fiber)
     pair = mv.MvPair.from_decomposition(space, cx, r=r)
-    rep = mv.verify_weak_mv_pair(space, pair, trials=trials, seed=seed, eps=epsilon)
+    rep = mv.verify_weak_mv_pair(space, pair, trials=trials, seed=seed)
     keys = ("passed", "degree", "worst_split_ratio", "worst_cia_ratio",
             "worst_reconstruction", "coercity_bound", "trials")
     return Outcome({k: rep[k] for k in keys}, table=rep["table"],

@@ -54,7 +54,6 @@ class CoarseMap:
             raise ShapeError("one target index per source point required")
         if ((self.assignment < 0) | (self.assignment >= len(target))).any():
             raise DomainError("assignment hits indices outside the target")
-        self.fiber_sizes = np.bincount(self.assignment, minlength=len(target))
 
     def __call__(self, i):
         return int(self.assignment[i])

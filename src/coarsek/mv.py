@@ -41,6 +41,10 @@ from .operator import (
 )
 
 MARGIN = 1 / 10  # neighborhood width of a decomposition's regions, before scale
+# Weight of the region lobes that set apart the two operators of a midpoint
+# trial.  The checked ratios ||x - z|| / ||x - y|| are scale-free, so the
+# weight changes no verdict; it only sets the rounding of the reported ratios.
+LOBE_WEIGHT = 0.05
 
 
 def split_masks(m1, m2):
@@ -82,12 +86,21 @@ def cia_midpoint(x, y, masks, eps):
     ||x - y|| < eps; the returned z is supported in the overlap and
     satisfies ||x - z|| <= 4 eps and ||y - z|| <= 4 eps.
     """
-    return _cia_midpoint(x, y, masks, eps)[0]
+    z, dx, dy = _midpoint(x, y, masks)
+    gap = opnorm(x - y)
+    if gap >= eps:
+        raise DomainError(f"||x - y|| = {gap} not below eps = {eps}")
+    if dx > 4 * eps + 1e-12 or dy > 4 * eps + 1e-12:
+        raise VerificationFailure(
+            f"midpoint distances ({dx}, {dy}) exceed 4 eps = {4 * eps}")
+    return z
 
 
-def _cia_midpoint(x, y, masks, eps, gap=None):
-    """cia_midpoint returning (z, ||x - z||, ||y - z||); a caller that has
-    already measured ||x - y|| passes it as ``gap``."""
+def _midpoint(x, y, masks):
+    """(z, ||x - z||, ||y - z||) of cia_midpoint, with no level: only the
+    supports of x and y are checked.  In exact arithmetic
+    x - z = (P1 + P2)(x - y)(P1 + P2) - P2 (x - y) P2 / 2, so both
+    distances are at most 3/2 ||x - y||."""
     s1, s2, s3 = masks
     for op, bad, side in ((x, s3, "first"), (y, s1, "second")):
         reach = block_abs_max(op)
@@ -95,42 +108,26 @@ def _cia_midpoint(x, y, masks, eps, gap=None):
         if leak > DEFAULT_TAU:
             raise PropagationError(
                 f"{side} operator leaks {leak} outside its region")
-    if gap is None:
-        gap = opnorm(x - y)
-    if gap >= eps:
-        raise DomainError(f"||x - y|| = {gap} not below eps = {eps}")
     z = restrict(0.5 * (x + y), s2, s2)
-    dx, dy = opnorm(x - z), opnorm(y - z)
-    if dx > 4 * eps + 1e-12 or dy > 4 * eps + 1e-12:
-        raise VerificationFailure(
-            f"midpoint distances ({dx}, {dy}) exceed 4 eps = {4 * eps}")
-    return z, dx, dy
+    return z, opnorm(x - z), opnorm(y - z)
 
 
 @dataclass
 class MvPair:
-    """Operator-support regions, their enlarged neighborhoods and a degree;
-    ``coercity`` is the constant every pair is claimed to satisfy."""
+    """Two operator-support regions and a degree; ``coercity`` is the
+    constant every pair is claimed to satisfy."""
 
     delta1: np.ndarray
     delta2: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
     r: float
     coercity = 4.0  # a class attribute, not a field
 
-    def __post_init__(self):
-        if not ((~self.delta1 | self.a1).all() and (~self.delta2 | self.a2).all()):
-            raise DomainError("each region must sit inside its neighborhood")
-
     @classmethod
     def from_decomposition(cls, space, complex_, r=1 / 50):
-        x1, x2 = decompose(space, complex_)
-        return cls(x1, x2, neighborhood(space, x1, MARGIN),
-                   neighborhood(space, x2, MARGIN), r)
+        return cls(*decompose(space, complex_), r)
 
 
-def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05):
+def verify_weak_mv_pair(space, pair, trials=100, seed=0):
     """Exercise the splitting and midpoint axioms at a grid of scales s <= r.
 
     Random banded operators at each scale are split along the region
@@ -168,11 +165,10 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0, eps=0.05):
                                             rng, norm=1.0)
             lobe2 = random_region_supported(space, sig_masks[1] | sig_masks[2],
                                             rng, norm=1.0)
-            xa = core + (eps / 2) * lobe1
-            ya = core + (eps / 2) * lobe2
+            xa = core + LOBE_WEIGHT * lobe1
+            ya = core + LOBE_WEIGHT * lobe2
             gap = opnorm(xa - ya)
-            _, dx, dy = _cia_midpoint(xa, ya, sig_masks,
-                                      max(gap, 1e-12) * (1 + 1e-9), gap)
+            _, dx, dy = _midpoint(xa, ya, sig_masks)
             if gap > 1e-12:
                 scale_cia = max(scale_cia, dx / gap, dy / gap)
         worst_split = max(worst_split, scale_split)
@@ -282,11 +278,11 @@ def local_index(u, phi, region):
     if np.shape(region) != (len(u.space),):
         raise DomainError("region must have one entry per sample point")
     p_u = clutching_projection(u, phi)
-    one = FiniteOperator.identity(u.space, u.amplification, unitized=False)
-    p_1 = clutching_projection(one, phi)
-    diff = kappa_even(p_u).concrete() - kappa_even(p_1).concrete()
+    # at u = 1, W = R R* = 1, so chi(p(1, phi)) is exactly diag(1, 0)
+    reference = np.arange(p_u.dim) < u.dim
+    diff = np.diag(kappa_even(p_u).concrete()) - reference
     mask = lift(u.space, p_u.amplification, np.asarray(region, dtype=bool))
-    raw = float(np.real(np.diag(diff)[mask].sum()))
+    raw = float(np.real(diff[mask].sum()))
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:
         raise DomainError(

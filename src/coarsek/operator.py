@@ -198,8 +198,6 @@ class FiniteOperator:
         return FiniteOperator(self.space, self.entries.conj().T,
                               self.amplification, scalar)
 
-    H = property(adjoint)
-
 
 def coordinates_of(space, amplification, points):
     """Copy-major coordinates of the fibers of the listed points, copy 0
@@ -500,27 +498,19 @@ def point_block_max(a, rows, cols):
     return a
 
 
-def support(op, tau=DEFAULT_TAU):
+def support(op):
     """Boolean (N, N) support matrix: entry (y, x) iff block (y, x) has an
-    entry of modulus above ``tau``."""
-    if tau < 0:
-        raise DomainError("support threshold must be nonnegative")
-    return block_abs_max(op) > tau
+    entry of modulus above ``DEFAULT_TAU``."""
+    return block_abs_max(op) > DEFAULT_TAU
 
 
-def propagation(op, tau=DEFAULT_TAU):
+def propagation(op):
     """Largest distance over the support; 0 for empty support, inf across
     components."""
-    mask = support(op, tau)
+    mask = support(op)
     if not mask.any():
         return 0.0
     return float(op.space.dist[mask].max())
-
-
-def product_tau(s, t):
-    """Entry threshold for a product: ``DEFAULT_TAU`` scaled by the
-    factors' norms."""
-    return DEFAULT_TAU * max(1.0, opnorm(s) * opnorm(t))
 
 
 def lift(space, amplification, values):

@@ -32,14 +32,16 @@ class PathOperator:
             raise DomainError("one operator per sampled time required")
         if not len(self.times) or self.times[0] != 1.0:
             raise DomainError("paths start at time 1")
-        if (np.diff(self.times) <= 0).any():
-            raise DomainError("times must be strictly increasing")
+        # each test is written so that NaN fails it
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise DomainError("times must be finite and strictly increasing")
         measured = max(step_norms(self.values), default=0.0)
         if self.modulus is None:
             self.modulus = measured
-        elif measured > self.modulus + 1e-12:
+        elif not (np.isfinite(self.modulus) and measured <= self.modulus + 1e-12):
             raise DomainError(
-                f"recorded modulus {self.modulus} below measured gap {measured}")
+                f"recorded modulus {self.modulus} is not a finite bound on the "
+                f"measured gap {measured}")
 
     def __len__(self):
         return len(self.values)

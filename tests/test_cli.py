@@ -301,7 +301,7 @@ SUBCOMMANDS = {
     "certify-homotopy": (2, set()),
     "coarse-ad": (4, {"r", "delta"}),
     "rotation-homotopy": (4, {"epsilon", "r", "delta"}),
-    "mv-verify": (1, {"mesh", "fiber", "r", "epsilon", "trials", "seed"}),
+    "mv-verify": (1, {"mesh", "fiber", "r", "trials", "seed"}),
     "clutching-index": (4, set()),
     "path-trim": (2, {"r"}),
 }
@@ -472,6 +472,28 @@ class TestStrictInputs:
                     text[:start] + "times:" + text[text.index("\n", start):])
         assert main(["path-trim", files["space"], bad, "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: line 2: ")
+
+    @pytest.mark.parametrize("edits, error", [
+        ({"times": "1 nan 3"}, "times must be finite and strictly increasing"),
+        ({"times": "1 2 inf", "horizon": "inf"},
+         "times must be finite and strictly increasing"),
+        ({"modulus": "nan"}, "recorded modulus nan is not a finite bound"),
+        ({"modulus": "inf"}, "recorded modulus inf is not a finite bound"),
+    ])
+    def test_non_finite_path_exits_3_and_writes_nothing(self, tmp_path, outdir, capsys,
+                                                        edits, error):
+        files = self._files(tmp_path)
+        space = loads_space(Path(files["space"]).read_text(encoding="utf-8"))
+        p = FiniteOperator(space, np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex))
+        lines = dumps_path(PathOperator([1.0, 2.0, 3.0], [p, 0.99 * p, 0.99 * p])
+                           ).splitlines()
+        for key, value in edits.items():
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"{key}:"))
+            lines[at] = f"{key}: {value}"
+        bad = write(tmp_path / "bad.txt", "\n".join(lines) + "\n")
+        assert main(["path-trim", files["space"], bad, "--r", "5", "--out", outdir]) == 3
+        assert capsys.readouterr().err.startswith(f"FAIL: {error}")
+        assert not os.path.exists(os.path.join(outdir, "trimmed-path.txt"))
 
     def test_input_that_is_not_utf8(self, tmp_path, outdir, capsys):
         cx = tmp_path / "complex.txt"

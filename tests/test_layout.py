@@ -6,8 +6,8 @@ only where it needs eigenvectors (``kappa_even``), ``opnorm`` runs no
 Hermitian test and no dense eigensolve outside its small-block path, its
 Lanczos fallback and the Lanczos tridiagonal matrix, no module imports
 scipy (nor does importing the package load it), no module keeps an import
-it no longer uses, no private top-level name is left unread, and no public function, class or
-method is reached only by tests.  A re-export in ``__init__`` reads
+it no longer uses, no private top-level name is left unread, and no public function, class,
+method or class attribute is reached only by tests.  A re-export in ``__init__`` reads
 nothing, and a method is read only as an attribute of a value that is not
 an imported module; the names the benchmark's tracer looks up by string
 count as read, and each of them must resolve.  One level down, every
@@ -109,14 +109,19 @@ def private_definitions(tree):
 
 def public_definitions(tree):
     """(line, name) of each top-level public function or class and of each
-    public method, named ``Class.method``."""
+    public method or class-body ``Name = ...`` assignment, named
+    ``Class.member``.  An annotated field is left out: a NamedTuple's
+    fields are read by unpacking."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
-        if isinstance(node, ast.ClassDef):
-            found.extend((sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
-                         if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        for sub in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((sub.lineno, f"{node.name}.{sub.name}"))
+            elif isinstance(sub, ast.Assign):
+                found.extend((sub.lineno, f"{node.name}.{target.id}")
+                             for target in sub.targets if isinstance(target, ast.Name))
     return [(line, name) for line, name in found
             if not name.rpartition(".")[2].startswith("_")]
 
@@ -183,7 +188,7 @@ def unread_public_names(modules, clients, traced):
     """``(file:line, name)`` of each public definition of the library
     modules (a map from file name to tree) that nothing outside tests
     reads.  A function or class is read by name, import or attribute, a
-    method (``Class.name``) only as an attribute; a ``module.name`` in
+    method or class attribute (``Class.name``) only as an attribute; a ``module.name`` in
     ``traced`` is read."""
     names, attributes = library_reads(modules, clients)
     return [(f"{file}:{line}", name) for file, tree in modules.items()
@@ -587,6 +592,11 @@ def test_guards_catch_what_they_name():
                      "    def _tidy(self):\n        pass\n\n\n"
                      "def seed():\n    return Cell().grow\n\n\ndef _hidden():\n    pass\n")
     assert public_definitions(tree) == [(1, "Cell"), (2, "Cell.grow"), (9, "seed")]
+    # class attributes count, annotated fields and private names do not
+    members = ast.parse("class Cell:\n    size: int = 1\n    H = _alias = property(len)\n"
+                        "    _tmp = 2\n    __rmul__ = len\n\n\nv = Cell().size\n")
+    assert public_definitions(members) == [(1, "Cell"), (3, "Cell.H")]
+    assert unread_public_names({"cell.py": members}, [], set()) == [("cell.py:3", "Cell.H")]
     assert {"Cell", "grow"} <= names_read([tree])
     assert "seed" not in names_read([tree])
     bench = [ast.parse("class Load:\n    def check(self, i):\n        return i\n"),

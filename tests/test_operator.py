@@ -18,7 +18,6 @@ from coarsek.operator import (
     direct_sum,
     lift,
     opnorm,
-    product_tau,
     propagation,
     restrict,
     support,
@@ -115,9 +114,9 @@ class TestPropagation:
         r1, r2 = rng.uniform(0.5, 2.5, size=2)
         t = random_banded(space, r1, rng)
         s = random_banded(space, r2, rng)
-        tau2 = product_tau(t, s)
-        assert (propagation(t @ s, tau2)
-                <= propagation(t) + propagation(s) + 1e-9)
+        # random_banded leaves exact zeros outside its band, so the product's
+        # support at DEFAULT_TAU lies inside the sum of the two bands
+        assert propagation(t @ s) <= propagation(t) + propagation(s) + 1e-9
 
 
 class TestNonFinite:

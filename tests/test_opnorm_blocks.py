@@ -176,15 +176,15 @@ def test_adjoints_and_transposes(n):
                         + 1j * rng.standard_normal((n, n)))
     m = op.entries
     want = dense_opnorm(m)
-    for other in (op.H, m.T, m.conj().T, np.asfortranarray(m)):
+    for other in (op.adjoint(), m.T, m.conj().T, np.asfortranarray(m)):
         assert opnorm(other) == pytest.approx(want, rel=REL, abs=0)
     # a scaled transpose stays Fortran-ordered and takes the power-of-two scaling
     assert opnorm(2.0 ** -560 * m.T) == pytest.approx(2.0 ** -560 * want, rel=REL, abs=0)
     values = np.sort(spectrum(m, False))
     assert np.sort(spectrum(m.T, False)) == pytest.approx(values, abs=1e-12 * values[-1])
     u = FiniteOperator(space, haar_unitary(n, rng))
-    assert unitary_defects(u.H) == pytest.approx(unitary_defects(u), abs=1e-12)
-    assert max(unitary_defects(u.H)) < 1e-12
+    assert unitary_defects(u.adjoint()) == pytest.approx(unitary_defects(u), abs=1e-12)
+    assert max(unitary_defects(u.adjoint())) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])

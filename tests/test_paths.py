@@ -128,3 +128,18 @@ class TestPathQuasi:
 def test_empty_path_is_a_domain_error():
     with pytest.raises(DomainError):
         PathOperator([], [])
+
+
+@pytest.mark.parametrize("times", [[1.0, np.nan, 3.0], [1.0, 2.0, np.nan],
+                                   [1.0, 2.0, np.inf]])
+def test_non_finite_time_is_a_domain_error(line4, rng, times):
+    v = random_banded(line4, 0.5, rng)
+    with pytest.raises(DomainError, match="finite and strictly increasing"):
+        PathOperator(times, [v, v, v])
+
+
+@pytest.mark.parametrize("modulus", [np.nan, np.inf])
+def test_non_finite_modulus_is_a_domain_error(line4, modulus):
+    p = banded_path(line4, [3.5, 2.5])
+    with pytest.raises(DomainError, match="not a finite bound"):
+        PathOperator(p.times, p.values, modulus=modulus)
