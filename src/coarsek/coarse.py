@@ -257,9 +257,18 @@ def rotation_homotopy(Vf, Vg, p, params):
 
     Both covers must cover the same map at the same delta; R is just above
     the measured expansion of the map at the declared propagation level.
-    The path takes as many steps as its certificate needs, at most
-    ``MAX_STEPS``.
+    The sample at t is u_t x u_t*, with x = diag(V_f p V_f*, 0, 0, 0),
+    u_t = diag(U, 1) R_t diag(1, U*) R_t*, U the swap unitary of the
+    covers lifted to every copy and R_t the rotation between the two
+    halves by (1 - t) pi / 2.  The path takes as many steps as its
+    certificate needs, at most ``MAX_STEPS``.
     """
+    return _rotation_certificate(Vf, Vg, p, params)[0]
+
+
+def _rotation_certificate(Vf, Vg, p, params):
+    """``rotation_homotopy``'s certificate and the sample measurements it
+    was judged on."""
     if Vf.map is not Vg.map and not np.array_equal(Vf.map.assignment,
                                                    Vg.map.assignment):
         raise DomainError("covers must cover the same map")
@@ -275,18 +284,24 @@ def rotation_homotopy(Vf, Vg, p, params):
     kd = k * tgt.total_dim
     # 0/1 covers: the swap unitary of the lifted covers is exact
     u_lift = swap_unitary(amplify_map(Vf.matrix, k), amplify_map(Vg.matrix, k))
-    x = block_diag(ad(Vf, p).concrete(), np.zeros((3 * kd, 3 * kd)))
-    diag_u_1 = block_diag(u_lift, np.eye(2 * kd))
-    diag_1_ustar = block_diag(np.eye(2 * kd), u_lift.conj().T)
+    x = ad(Vf, p).concrete()
+    # diag(x, 0, 0, 0) lives on the first kd coordinates, so a sample meets
+    # only the first kd columns of u_t: c^2 [U; 0] + s^2 [UU*; 0]
+    # + cs [0; U* - 1], with (c, s) = (cos, sin)((1 - t) pi / 2) and UU* a
+    # product, as in u_t.
+    zero = np.zeros((2 * kd, kd))
+    by_cc = np.vstack([u_lift[:, :kd], zero])
+    by_ss = np.vstack([(u_lift @ u_lift.conj().T)[:, :kd], zero])
+    by_cs = np.vstack([zero, u_lift.conj().T[:, :kd] - np.eye(2 * kd, kd)])
 
     def sample(t):
         theta = (1.0 - t) * math.pi / 2
-        rot = doubled_rotation(np.full(2 * kd, theta))
-        u_t = diag_u_1 @ rot @ diag_1_ustar @ rot.conj().T
-        out = u_t @ x @ u_t.conj().T
+        c, s = np.cos(theta), np.sin(theta)
+        w = c * c * by_cc + s * s * by_ss + c * s * by_cs
+        out = w @ x @ w.conj().T
         return FiniteOperator(tgt, (out + out.conj().T) / 2, 4 * k)
 
-    return _certify_path(sample, "even", ambient)[0]
+    return _certify_path(sample, "even", ambient)
 
 
 def _certify_path(sample_fn, parity, ambient):

@@ -137,6 +137,9 @@ def verify_weak_mv_pair(space, pair, trials=100, seed=0):
     """
     if trials < 1 or seed < 0:
         raise DomainError(f"need trials >= 1 and seed >= 0, got {trials} and {seed}")
+    if not pair.r > 0:
+        # at r = 0 every scale is 0 and both axioms pass on diagonal operators
+        raise DomainError(f"degree r must be positive, got {pair.r}")
     p1, p2, p3 = split_masks(pair.delta1, pair.delta2)
     s_grid = [pair.r / 4, pair.r / 2, pair.r * 3 / 4, pair.r]
     per_scale = max(1, trials // len(s_grid))

@@ -231,6 +231,23 @@ class TestCoarseCommands:
         assert int(fields["samples"]) >= 9
         assert os.path.exists(os.path.join(outdir, "certificate.txt"))
 
+    def test_rotation_report_is_the_verifiers_report(self, tmp_path, outdir, rng):
+        # rotation-homotopy reports its builder's judgement; certify-homotopy
+        # measures the written certificate again and must agree to the token
+        thin, fat, sf, tf, mf = self.setup_spaces(tmp_path)
+        from coarsek.generators import random_quasi_projection
+        p, _ = random_quasi_projection(thin, QuasiParams(0.1, 0.5), rng)
+        pf = write(tmp_path / "p.txt", dumps_operator(p))
+        assert main(["rotation-homotopy", sf, tf, mf, pf, "--delta", "0.3",
+                     "--epsilon", "0.1", "--r", "0.5", "--out", outdir]) == 0
+        cert_file = os.path.join(outdir, "certificate.txt")
+        verify_out = str(tmp_path / "verify")
+        assert main(["certify-homotopy", tf, cert_file, "--out", verify_out]) == 0
+        built, _ = read_report(outdir, "rotation-homotopy")
+        verified, _ = read_report(verify_out, "certify-homotopy")
+        for key in ("passed", "samples", "worst_defect", "worst_propagation"):
+            assert built[key] == verified[key], key
+
     def test_coarse_ad_reads_r_but_not_epsilon(self, tmp_path, outdir, rng):
         thin, fat, sf, tf, mf = self.setup_spaces(tmp_path)
         from coarsek.generators import random_quasi_projection
@@ -275,6 +292,16 @@ class TestMvCommands:
             assert main([*argv, "--mesh", "0.5", "--out", outdir]) == 3
             assert capsys.readouterr().err.startswith("FAIL: need trials >= 1 and seed >= 0")
             assert not os.path.exists(os.path.join(outdir, "mv-verify.report.txt"))
+
+    @pytest.mark.parametrize("r", ["0", "nan"])
+    def test_mv_verify_needs_a_positive_degree(self, tmp_path, outdir, capsys, r):
+        # at r = 0 every scale is 0, so both axioms would pass on diagonal
+        # operators alone
+        cx = write(tmp_path / "circle.txt", "0 1\n1 2\n2 0\n")
+        assert main(["mv-verify", cx, "--mesh", "0.5", "--trials", "4", "--r", r,
+                     "--out", outdir]) == 3
+        assert capsys.readouterr().err.startswith("FAIL: degree r must be positive")
+        assert not os.path.exists(os.path.join(outdir, "mv-verify.report.txt"))
 
     def test_clutching_index_cmd(self, tmp_path, outdir):
         _, space, order = circle_space(16)

@@ -37,7 +37,9 @@ from coarsek.generators import (
 )
 from coarsek.geometry import (SampledSpace, build_complex, discretize,
                               uniform_edge_space)
-from coarsek.operator import FiniteOperator, direct_sum, opnorm, propagation
+from coarsek.operator import (FiniteOperator, amplify_map, block_diag,
+                              direct_sum, doubled_rotation, opnorm,
+                              propagation)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +260,44 @@ class TestSwapAndRotation:
         cert = rotation_homotopy(v1, v2, p, params)
         built = judged[-1]
         assert_same_report(built, verify_certificate(cert)[1])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("biases", [("nearest", "pack-high"),
+                                        ("pack-high", "nearest")])
+    def test_samples_are_the_dense_rotation(self, edge_fine, edge_fat, rng,
+                                            monkeypatch, k, biases):
+        # the oracle: u_t x u_t* with u_t = diag(U, 1) R_t diag(1, U*) R_t*
+        # and x = diag(V_f p V_f*, 0, 0, 0), every matrix 4kd x 4kd
+        f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
+        vf, vg = (delta_cover(f, 0.25, bias=b) for b in biases)
+        params = QuasiParams(0.1, 0.3)
+        p = direct_sum([random_quasi_projection(edge_fine, params, rng)[0]
+                        for _ in range(k)])
+        kd = k * edge_fat.total_dim
+        u = swap_unitary(amplify_map(vf.matrix, k), amplify_map(vg.matrix, k))
+        x = block_diag(ad(vf, p).concrete(), np.zeros((3 * kd, 3 * kd)))
+        diag_u_1 = block_diag(u, np.eye(2 * kd))
+        diag_1_ustar = block_diag(np.eye(2 * kd), u.conj().T)
+
+        def dense(t):
+            rot = doubled_rotation(np.full(2 * kd, (1.0 - t) * math.pi / 2))
+            u_t = diag_u_1 @ rot @ diag_1_ustar @ rot.conj().T
+            out = u_t @ x @ u_t.conj().T
+            return (out + out.conj().T) / 2
+
+        sample_fns = []
+        certify = coarse._certify_path
+
+        def spy(sample_fn, *args):
+            sample_fns.append(sample_fn)
+            return certify(sample_fn, *args)
+
+        monkeypatch.setattr(coarse, "_certify_path", spy)
+        rotation_homotopy(vf, vg, p, params)
+        for t in np.linspace(0.0, 1.0, 33):
+            got = sample_fns[0](t)
+            assert got.amplification == 4 * k
+            assert got.entries.tobytes() == dense(t).tobytes(), t
 
     def test_too_few_steps_allowed(self, edge_fine, edge_fat, rng, monkeypatch):
         f = CoarseMap(edge_fine, edge_fat, np.arange(len(edge_fine)))
