@@ -38,6 +38,7 @@ from .operator import (
     doubled_rotation,
     opnorm,
     point_block_max,
+    transport,
 )
 
 MAX_STEPS = 4096  # the most steps a sampled path certificate may take
@@ -221,26 +222,11 @@ def _assignment(cost):
 
 
 def ad(cover, op):
-    """Transport an operator through a cover: V T V* blockwise over copies.
-
-    Unitization elements keep their scalar vector (the unital extension),
-    so quasi-unitaries stay quasi-unitary with the same defect.
-    """
-    src, tgt = cover.map.source, cover.map.target
-    if op.space.total_dim != src.total_dim:
+    """Transport an operator through a cover: V T V* on every copy, each
+    keeping its scalar, so quasi-unitaries keep their defect (``transport``)."""
+    if op.space.total_dim != cover.map.source.total_dim:
         raise ShapeError("operator does not live over the cover's source")
-    v = amplify_map(cover.matrix, op.amplification)
-    entries = v @ op.entries @ v.conj().T
-    return FiniteOperator(tgt, entries, op.amplification, op.scalar)
-
-
-def ad_doubled(pair_matrix, op):
-    """Conjugate a doubled-module operator (amplification 2k) by a raw
-    isometry of the doubled modules; needs a constant scalar vector."""
-    if op.scalar is not None and not np.allclose(op.scalar, op.scalar[0]):
-        raise DomainError("doubled transport needs a constant scalar part")
-    entries = pair_matrix @ op.entries @ pair_matrix.conj().T
-    return entries, (None if op.scalar is None else op.scalar[0])
+    return transport(op, cover.matrix, cover.map.target)
 
 
 def swap_unitary(v, w):
@@ -446,13 +432,8 @@ def homotopy_invariance_certificate(F, u, params, delta):
     def gamma_slide_blocks(s):
         """First homotopy stage (a to b), one 2-amplification block per
         summand: each w_i rotates to w_{i+1} through doubled covers."""
-        parts = []
-        for i in range(ell):
-            entries, scal = ad_doubled(pair_cover(i, s), du2)
-            parts.append(FiniteOperator(tgt, entries, 2,
-                                        None if scal is None else [scal, scal]))
-        parts.append(dul2)
-        return [p @ dul2_star for p in parts]
+        return ([transport(du2, pair_cover(i, s), tgt) @ dul2_star for i in range(ell)]
+                + [dul2 @ dul2_star])
 
     def gamma_cycle(s):
         """Second stage (b to c): cyclic rotation of the block summands;
@@ -494,13 +475,9 @@ def homotopy_invariance_certificate(F, u, params, delta):
     ok, report = judge_certificate(cert, measured, cert.step_bounds)
     if not ok:
         raise CertificateError(f"assembled certificate failed: {report['failures'][:3]}")
-    report["achieved_eps"] = report.pop("worst_defect")
-    report["achieved_r"] = report.pop("worst_propagation")
-    report["bound_eps"] = ambient.eps
-    report["bound_r"] = ambient.r
-    report["stated_bound_r"] = 5 * (c * params.r + 2 * delta)
-    report["frames_used"] = m
-    report["lipschitz_bound"] = c
+    report.update(achieved_eps=report.pop("worst_defect"),
+                  achieved_r=report.pop("worst_propagation"), bound_eps=ambient.eps,
+                  bound_r=ambient.r, frames_used=m, lipschitz_bound=c)
     return cert, report
 
 

@@ -1,6 +1,6 @@
 """Quasi-projections and quasi-unitaries, the comparison map from a
 quasi-projection to an exact projection, class representatives, homotopy
-certificates, and the (lambda, h) parameter bookkeeping.
+certificates, and the algebra of control pairs (lambda, h).
 
 A self-adjoint p with ||p^2 - p|| < eps and propagation < r is an
 (eps, r)-quasi-projection; u with ||u*u - 1|| < eps, ||uu* - 1|| < eps and
@@ -12,11 +12,18 @@ path at the element, so ``judge_certificate`` alone states it.
 e0, e1 when max(e0, e1) + d^2/4 stays within eps (an exact identity); only
 ``perturb_bound`` and the first check of ``interpolation_certificate`` use
 the coarser ||p'^2 - p'|| <= eps + 5 ||p - p'||.  Builders judge what they
-measured once; ``verify_certificate`` re-measures, for loaded certificates."""
+measured once; ``verify_certificate`` re-measures, for loaded certificates.
+
+A control pair (lambda, h) degrades a level (eps, r) to (lambda eps, h(eps) r)
+(Oyono-Oyono & Yu, Ann. Inst. Fourier 65, 2015).  No construction here states
+its level as one: the rotation certificate keeps eps (lambda = 1, not > 1), and
+each bound adds a delta term no such pair reproduces (R + 8 delta,
+5 (c r + 4 delta), omega + 2 delta, and ``perturb_bound``'s eps + 5 delta)."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,86 +383,45 @@ def certificate_rank_profile(cert):
 # -- control pairs ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ControlPair:
-    """A degradation bookkeeping pair (lambda, h) with lambda > 1 and h a
-    tabulated function on (0, 1/(4 lambda)) taking values above 1.
+    """A control pair (lambda, h): lambda > 1 and h a function on
+    (0, 1/(4 lambda)) taking values above 1, checked where it is evaluated."""
 
-    Composition is evaluated lazily through the stored interpolants so that
-    nested compositions agree with sequential application to rounding.
-    """
+    lam: float
+    h: Callable[[float], float]
 
-    GRID = 64
-
-    def __init__(self, lam, evaluator, floor, label="h"):
-        if lam <= 1:
+    def __post_init__(self):
+        if not self.lam > 1:
             raise DomainError("lambda must exceed 1")
-        self.lam = float(lam)
-        self._eval = evaluator
-        self.floor = float(floor)
-        self.label = label
-        if self.floor >= self.domain_sup:
-            raise DomainError("empty evaluation domain")
 
     @property
     def domain_sup(self):
         return 1.0 / (4.0 * self.lam)
 
     @classmethod
-    def from_table(cls, lam, eps_grid, values, label="h"):
-        eps_grid = np.asarray(eps_grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if eps_grid.ndim != 1 or eps_grid.shape != values.shape:
-            raise DomainError("grid and values must be matching vectors")
-        if (np.diff(eps_grid) <= 0).any():
-            raise DomainError("grid must be strictly increasing")
-        if eps_grid[0] <= 0 or eps_grid[-1] >= 1 / (4 * lam):
-            raise DomainError("grid must lie inside (0, 1/(4 lambda))")
-        if (values <= 1).any():
-            raise DomainError("h must take values above 1")
-        logx, logy = np.log(eps_grid), np.log(values)
-
-        def evaluate(eps):
-            return float(np.exp(np.interp(math.log(eps), logx, logy)))
-
-        return cls(lam, evaluate, eps_grid[0], label)
-
-    @classmethod
-    def from_function(cls, lam, fn, label="h"):
-        hi = 1 / (4 * lam)
-        eps_grid = np.geomspace(hi * 1e-6, hi * (1 - 1e-9), cls.GRID)
-        return cls.from_table(lam, eps_grid, [fn(e) for e in eps_grid], label)
-
-    @classmethod
-    def constant(cls, lam, value):
-        return cls.from_function(lam, lambda _: value, f"const {value}")
+    def from_function(cls, lam, fn):
+        return cls(lam, fn)
 
     def __call__(self, eps):
         if not 0 < eps < self.domain_sup:
             raise DomainError(
                 f"eps={eps} outside the control-pair domain (0, {self.domain_sup})")
-        return self._eval(max(eps, self.floor))
+        value = self.h(eps)
+        if not value > 1:
+            raise DomainError(f"h({eps}) = {value} is not above 1")
+        return value
 
-    def table(self, n=None):
-        n = n or self.GRID
-        lo = max(self.floor, self.domain_sup * 1e-6)
-        grid = np.geomspace(lo, self.domain_sup * (1 - 1e-9), n)
+    def table(self, n):
+        """h on a geometric grid of ``n`` points across the domain."""
+        grid = np.geomspace(self.domain_sup * 1e-6, self.domain_sup * (1 - 1e-9), n)
         return grid, np.array([self(e) for e in grid])
-
-    def __repr__(self):
-        return f"ControlPair(lambda={self.lam}, {self.label})"
 
 
 def compose_control_pairs(a, b):
-    """(lambda lambda', eps -> h(lambda' eps) h'(eps)), evaluated lazily."""
-    lam = a.lam * b.lam
-    floor = max(b.floor, a.floor / b.lam)
-    if floor >= 1 / (4 * lam):
-        raise DomainError("composed domain collapses below the tabulation floor")
-
-    def evaluate(eps):
-        return a._eval(max(b.lam * eps, a.floor)) * b._eval(max(eps, b.floor))
-
-    return ControlPair(lam, evaluate, floor, label=f"({a.label})*({b.label})")
+    """(lambda lambda', eps -> h(lambda' eps) h'(eps)), exactly, on a domain
+    that maps into both factors' domains."""
+    return ControlPair(a.lam * b.lam, lambda eps: a(b.lam * eps) * b(eps))
 
 
 def apply_control_pair(cp, params):

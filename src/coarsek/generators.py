@@ -12,7 +12,7 @@ import numpy as np
 
 from .controlled import defect_and_rank, unitary_defects
 from .errors import DomainError
-from .operator import FiniteOperator, coordinates_of, lift, opnorm
+from .operator import FiniteOperator, coordinates_of, lift, opnorm, restrict
 
 TRIES = 8  # attempts of the quasi-element generators, each with weaker noise
 
@@ -51,13 +51,10 @@ def random_banded(space, r, rng, amplification=1, selfadjoint=False, norm=None):
 def random_region_supported(space, region, rng, amplification=1, norm=1.0,
                             band_r=None):
     """Random operator with support inside region x region (optionally banded)."""
-    region = np.asarray(region, dtype=bool)
-    op = random_banded(space, band_r if band_r is not None else np.inf,
-                       rng, amplification)
-    m = op.entries * lift(space, amplification, np.outer(region, region))
-    if m.any() and norm is not None:
-        m *= norm / opnorm(m)
-    return FiniteOperator._owning(space, m, amplification)
+    op = restrict(random_banded(space, band_r if band_r is not None else np.inf,
+                                rng, amplification), region, region)
+    size = 0.0 if norm is None else opnorm(op)
+    return op * (norm / size) if size else op  # a zero draw stays zero
 
 
 def haar_unitary(n, rng):
@@ -75,7 +72,7 @@ def banded_near_unitary(space, r, rng, amplification=1, strength=0.25):
     a normal matrix (Moler & Van Loan, Nineteen Dubious Ways to Compute the
     Exponential of a Matrix, Twenty-Five Years Later, SIAM Review 45,
     2003)."""
-    a = random_banded(space, r, rng, amplification, norm=strength).entries
+    a = random_banded(space, r, rng, amplification, norm=strength).concrete()
     w, q = np.linalg.eigh((a - a.conj().T) / 2j)
     return (q * np.exp(1j * w)) @ q.conj().T
 

@@ -90,15 +90,22 @@ def build_complex(maximal_simplices):
     """Generate the face closure of the given maximal simplices.
 
     Vertex ids must be distinct within each simplex; the returned complex
-    lists every face of every input simplex.
+    lists every face of every input simplex.  ``discretize`` samples every
+    face's center, so a closure past ``MAX_SAMPLES`` faces is refused, and a
+    simplex with too many faces of its own (2^k - 1) before any is made.
     """
+    too_many = f"more than {MAX_SAMPLES} faces, the most discretize samples"
     closure = set()
     for s in maximal_simplices:
         s = tuple(sorted(s))
         if len(set(s)) != len(s):
             raise MalformedInputError(f"duplicate vertex in simplex {s}")
+        if 2 ** len(s) - 1 > MAX_SAMPLES:
+            raise DomainError(f"a simplex of {len(s)} vertices has {too_many}")
         for k in range(1, len(s) + 1):
             closure.update(itertools.combinations(s, k))
+        if len(closure) > MAX_SAMPLES:
+            raise DomainError(f"the complex has {too_many}")
     return SimplicialComplex(closure)
 
 

@@ -23,7 +23,8 @@ of listed points), ``lift`` (per-point data to per-coordinate data),
 ``block_abs_max``/``point_block_max`` (coordinate data back to point
 blocks), ``concrete``/``from_concrete`` (folding and splitting the scalar
 part), ``direct_sum`` (copies side by side, through ``block_diag``),
-``amplify_map`` (a module map on every copy) and ``doubled_rotation`` (the
+``amplify_map`` (a module map on every copy), ``transport`` (conjugation
+by a module map, of one copy or of all) and ``doubled_rotation`` (the
 rotation between the two halves of a doubled module).
 
 Every norm and defect reads the blocks of one split of the nonzero pattern.
@@ -560,6 +561,24 @@ def block_diag(*blocks):
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
+
+
+def transport(op, v, space):
+    """``v T v*`` over ``space`` for a module map ``v``.  A map of one copy acts
+    on every copy, and each copy keeps its scalar (the unital extension); a map
+    of all copies may mix them, so it needs a constant scalar part, which every
+    copy of the result carries."""
+    scalar = op.scalar
+    if v.shape[1] == op.space.total_dim:
+        v = amplify_map(v, op.amplification)
+    elif v.shape[1] != op.dim:
+        raise ShapeError("the map does not act on the operator's module")
+    elif scalar is not None:
+        if not np.allclose(scalar, scalar[0]):
+            raise DomainError("a map that mixes copies needs a constant scalar part")
+        scalar = scalar[:1]
+    return FiniteOperator(space, v @ op.entries @ v.conj().T,
+                          v.shape[0] // space.total_dim, scalar)
 
 
 def amplify_map(matrix, amplification):

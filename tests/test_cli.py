@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,19 @@ class TestStrictInputs:
         cx.write_bytes(b"0 1\n\xff\xfe\n")
         assert main(["complex-validate", str(cx), "--out", outdir]) == 2
         assert capsys.readouterr().err.startswith("FAIL: ")
+
+    @pytest.mark.parametrize("command", ["complex-validate", "discretize", "mv-verify"])
+    @pytest.mark.parametrize("ids", [15, 64])
+    def test_simplex_with_too_many_faces_exits_3(self, tmp_path, outdir, capsys,
+                                                 command, ids):
+        # 2^15 - 1 faces is past MAX_SAMPLES; 2^64 - 1 would never finish
+        cx = write(tmp_path / "line.txt", " ".join(map(str, range(ids))) + "\n")
+        start = time.perf_counter()
+        assert main([command, cx, "--out", outdir]) == 3
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith(
+            f"FAIL: a simplex of {ids} vertices has more than 16384 faces")
+        assert not os.path.exists(outdir)
 
     def test_input_path_that_is_a_directory(self, tmp_path, outdir, capsys):
         assert main(["complex-validate", str(tmp_path), "--out", outdir]) == 2

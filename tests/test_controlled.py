@@ -381,27 +381,27 @@ class TestSpectralBand:
 
 class TestControlPairs:
     def test_composed_lambda(self):
-        a = ControlPair.constant(2.0, 2.0)
-        b = ControlPair.constant(3.0, 2.0)
+        a = ControlPair(2.0, lambda _: 2.0)
+        b = ControlPair(3.0, lambda _: 2.0)
         c = compose_control_pairs(a, b)
         assert c.lam == pytest.approx(6.0)
 
     def test_constant_composition(self):
-        a = ControlPair.constant(1.5, 2.0)
-        b = ControlPair.constant(1.5, 2.0)
+        a = ControlPair(1.5, lambda _: 2.0)
+        b = ControlPair(1.5, lambda _: 2.0)
         c = compose_control_pairs(a, b)
         grid, vals = c.table(16)
         assert np.allclose(vals, 4.0)
 
     def test_near_neutral(self):
-        a = ControlPair.constant(1.0 + 1e-9, 1.0 + 1e-9)
+        a = ControlPair(1.0 + 1e-9, lambda _: 1.0 + 1e-9)
         q = QuasiParams(0.01, 1.0)
         out = apply_control_pair(a, q)
         assert out.eps == pytest.approx(0.01, rel=1e-8)
         assert out.r == pytest.approx(1.0, rel=1e-8)
 
     def test_apply(self):
-        a = ControlPair.constant(2.0, 3.0)
+        a = ControlPair(2.0, lambda _: 3.0)
         out = apply_control_pair(a, QuasiParams(0.01, 0.1))
         assert out.eps == pytest.approx(0.02)
         assert out.r == pytest.approx(0.3)
@@ -430,15 +430,35 @@ class TestControlPairs:
         assert np.allclose(lv, rv, rtol=1e-12)
         assert left.lam == pytest.approx(right.lam, rel=1e-12)
 
-    def test_domain_collapse(self):
-        a = ControlPair.constant(4e8, 2.0)
-        b = ControlPair.constant(4e8, 2.0)
-        with pytest.raises(DomainError):
-            compose_control_pairs(a, b)
+    def test_h_not_above_one_raises_when_evaluated(self):
+        cp = ControlPair(2.0, lambda e: 1.0 + (e - 0.05))  # 1 at eps = 0.05
+        assert cp(0.06) == pytest.approx(1.01)
+        for eps in (0.05, 0.01):
+            with pytest.raises(DomainError, match="is not above 1"):
+                cp(eps)
+        with pytest.raises(DomainError, match="is not above 1"):
+            apply_control_pair(cp, QuasiParams(0.01, 1.0))
+
+    def test_domain_and_lambda(self):
+        cp = ControlPair(2.0, lambda _: 3.0)
+        for eps in (0.0, 0.125, float("nan")):
+            with pytest.raises(DomainError, match="outside the control-pair domain"):
+                cp(eps)
+        for lam in (1.0, 0.5, float("nan")):
+            with pytest.raises(DomainError, match="lambda must exceed 1"):
+                ControlPair(lam, lambda _: 3.0)
+
+    def test_composition_is_exact(self):
+        a = ControlPair(1.7, lambda e: 1.5 + 10 * e)
+        b = ControlPair(2.1, lambda e: 2.0 + math.exp(-e))
+        comp = compose_control_pairs(a, b)
+        grid, values = comp.table(32)
+        assert grid[-1] < comp.domain_sup
+        assert values.tolist() == [a(b.lam * e) * b(e) for e in grid]
 
     def test_relaxed_constant_k_cancels(self):
         h = ControlPair.from_function(2.0, lambda e: 3.0 + e)
-        k = ControlPair.constant(1.5, 7.0)
+        k = ControlPair(1.5, lambda _: 7.0)
         q = QuasiParams(0.01, 1.0)
         out = relaxed_params(k, h, q)
         assert out.eps == pytest.approx(2.0 * 0.01)

@@ -91,6 +91,15 @@ class TestBuildComplex:
         x = build_complex([(0, 1, 2, 3), (3, 4, 5)])
         assert x.faces_closed()
 
+    def test_closure_past_max_samples_faces_refused(self):
+        # discretize samples every face's center, so it could sample neither
+        cap = geometry.MAX_SAMPLES
+        assert len(build_complex([range(14)]).simplices) == 2 ** 14 - 1 <= cap
+        with pytest.raises(DomainError, match=f"a simplex of 15 vertices has more than {cap}"):
+            build_complex([range(15)])
+        with pytest.raises(DomainError, match=f"the complex has more than {cap} faces"):
+            build_complex([(v,) for v in range(cap + 1)])
+
 
 class TestDiscretize:
     def test_edge_contains_vertices_and_center(self, edge_complex, edge_space):

@@ -1,5 +1,6 @@
 """Source guards: the copy-major layout is spelled out only in ``operator``
-(and ``geometry``, which defines ``point_of_coord``), every float is
+(and ``geometry``, which defines ``point_of_coord``), only ``operator`` and
+the operator writer read an operator's ``entries``, every float is
 formatted by the one number writer, whether a matrix is Hermitian is decided
 only in ``operator`` and ``controlled`` solves a whole-matrix eigenproblem
 only where it needs eigenvectors (``kappa_even``), ``opnorm`` runs no
@@ -7,10 +8,13 @@ Hermitian test and no dense eigensolve outside its small-block path, its
 Lanczos fallback and the Lanczos tridiagonal matrix, no module imports
 scipy (nor does importing the package load it), no module keeps an import
 it no longer uses, no private top-level name is left unread, and no public function, class,
-method or class attribute is reached only by tests.  A re-export in ``__init__`` reads
-nothing, and a method is read only as an attribute of a value that is not
-an imported module; the names the benchmark's tracer looks up by string
-count as read, and each of them must resolve.  One level down, every
+method or class attribute is reached only by tests.  Reaching is transitive:
+from the demos, the benchmark, the names its tracer looks up by string (each
+must resolve), the console script and what a module runs on import, through
+the bodies of the definitions so reached, so a name that only a test-only
+name reads is test-only too.  A re-export in ``__init__`` reads nothing, and
+a method is reached only once its class is, as an attribute of a value that
+is not an imported module.  One level down, every
 parameter with a default is passed by some caller that is not a test, and
 every parameter of a public function is read by its body.  The README's
 table of the knobs each CLI subcommand reads is the set of its handler's
@@ -39,17 +43,18 @@ TEST_ONLY = {
     "certificate_rank_profile": "acceptance criterion 4 reads it",
     "HomotopyCertificate.endpoints": "acceptance criterion 4 reads it",
     "random_quasi_unitary": "odd-parity test data",
+    "ControlPair": "acceptance criterion 8 reads it",
+    "ControlPair.domain_sup": "acceptance criterion 8 reads it",
+    "ControlPair.from_function": "acceptance criterion 8 reads it",
+    "ControlPair.table": "acceptance criterion 8 reads it",
     "compose_control_pairs": "acceptance criterion 8 reads it",
     "apply_control_pair": "acceptance criterion 8 reads it",
     "relaxed_params": "acceptance criterion 8 reads it",
-    "ControlPair.table": "acceptance criterion 8 reads it",
     "FiniteOperator.zeros": "test data",
     "SampledSpace.validate": "the metric-axiom oracle on discretize output",
-    "ControlPair.constant": "the fixture builder of the control-pair tests",
 }
 # parameters with defaults that only tests pass, each kept for the reason given
 TEST_ONLY_PARAMS = {
-    "ControlPair.table(n)": "acceptance criterion 8 reads it",
     "SampledSpace.validate(tol)": "the tolerance of the metric-axiom oracle",
     "circle_cut(width)": "tests show that the index does not depend on the cut",
     "evaluate(interpolate)": "tests bound the perturbation of the path blend",
@@ -146,15 +151,16 @@ def imported_modules(tree):
             if isinstance(node, ast.Import) for alias in node.names}
 
 
-def attributes_read(trees):
+def attributes_read(trees, modules=None):
     """Every attribute some expression reads off a value that is not a name
-    bound by ``import module``: ``x.block`` and ``Cls.block`` (with ``Cls``
-    from ``from m import Cls``) read ``block``, ``np.block`` does not."""
+    bound by ``import module`` (in each tree, or ``modules`` when given):
+    ``x.block`` and ``Cls.block`` (with ``Cls`` from ``from m import Cls``)
+    read ``block``, ``np.block`` does not."""
     read = set()
     for tree in trees:
-        modules = imported_modules(tree)
+        bound = imported_modules(tree) if modules is None else modules
         read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                    and not (isinstance(node.value, ast.Name) and node.value.id in modules))
+                    and not (isinstance(node.value, ast.Name) and node.value.id in bound))
     return read
 
 
@@ -164,16 +170,12 @@ def defined_names(trees):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
-def library_reads(modules, clients):
-    """``(names, attributes)``: what the library modules (a map from file
-    name to tree) read, ``names_read`` and ``attributes_read``, and what
-    their clients read that the clients do not define themselves: a client
-    reading its own ``check`` reads no library ``check``.  ``__init__.py``
-    is left out: a re-export reads nothing."""
-    library = [tree for name, tree in modules.items() if name != "__init__.py"]
+def client_reads(clients):
+    """``(names, attributes)``: ``names_read`` and ``attributes_read`` of the
+    clients, less what they define themselves: a client reading its own
+    ``check`` reads no library ``check``."""
     own = defined_names(clients)
-    return (names_read(library) | (names_read(clients) - own),
-            attributes_read(library) | (attributes_read(clients) - own))
+    return names_read(clients) - own, attributes_read(clients) - own
 
 
 def traced_names(tree):
@@ -184,17 +186,92 @@ def traced_names(tree):
             for name in ast.literal_eval(node.value)}
 
 
-def unread_public_names(modules, clients, traced):
+def console_scripts(text):
+    """The ``module.function`` of each console script of the package that a
+    ``pyproject.toml`` text declares: ``x = "coarsek.cli:main"`` gives ``cli.main``."""
+    return {f"{module}.{func}" for module, func
+            in re.findall(r'^[\w-]+ = "coarsek\.(\w+):(\w+)"$', text, re.M)}
+
+
+def definitions(tree):
+    """``(name, key, owner, nodes)`` of each top-level function or class of
+    the module (``owner`` None) and of each method or class-body assigned
+    name of a class ``owner`` (``name`` reads ``Class.member``).  A read of
+    ``key`` reaches it; ``nodes`` is what it reads once reached: a
+    function's whole definition, an assignment's value, and a class's
+    decorators, bases and the body statements that are not members."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.name, None, [node]))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        own = [*node.decorator_list, *node.bases, *node.keywords]
+        for sub in node.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((f"{node.name}.{sub.name}", sub.name, node.name, [sub]))
+            elif isinstance(sub, ast.Assign):
+                found.extend((f"{node.name}.{t.id}", t.id, node.name, [sub.value])
+                             for t in sub.targets if isinstance(t, ast.Name))
+            else:
+                own.append(sub)
+        found.append((node.name, node.name, None, own))
+    return found
+
+
+def on_import(tree):
+    """The top-level statements that run when the module is imported and
+    define nothing: all but functions, classes and imports."""
+    return [node for node in tree.body if not isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))]
+
+
+def reached_definitions(modules, clients, roots):
+    """``(file, name)`` of each ``definitions`` entry of the library modules
+    (a map from file name to tree) that the clients, the modules'
+    ``on_import`` statements or ``roots`` (``module.name`` strings: the
+    traced names and the console scripts) reach, through the bodies of
+    definitions that are themselves reached.  A function or class is
+    reached by a read of its name, as a name, an import or an attribute; a
+    method or class attribute only once its class is reached, by an
+    attribute read of its name or, for a dunder, at once.  ``__init__.py``
+    is left out: a re-export reads nothing."""
+    names, attributes = client_reads(clients)
+    found = []
+    for file, tree in modules.items():
+        if file == "__init__.py":
+            continue
+        bound, statements = imported_modules(tree), on_import(tree)
+        names |= names_read(statements)
+        attributes |= attributes_read(statements, bound)
+        found += [(file, name, key, owner, names_read(nodes), attributes_read(nodes, bound))
+                  for name, key, owner, nodes in definitions(tree)]
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for file, name, key, owner, reads, attrs in found:
+            if (file, name) in reached:
+                continue
+            if owner is None:
+                hit = key in names
+            else:
+                dunder = key.startswith("__") and key.endswith("__")
+                hit = (file, owner) in reached and (dunder or key in attributes)
+            if hit or f"{file.removesuffix('.py')}.{name}" in roots:
+                reached.add((file, name))
+                names |= reads
+                attributes |= attrs
+                grew = True
+    return reached
+
+
+def unread_public_names(modules, clients, roots):
     """``(file:line, name)`` of each public definition of the library
-    modules (a map from file name to tree) that nothing outside tests
-    reads.  A function or class is read by name, import or attribute, a
-    method or class attribute (``Class.name``) only as an attribute; a ``module.name`` in
-    ``traced`` is read."""
-    names, attributes = library_reads(modules, clients)
+    modules (a map from file name to tree) that ``reached_definitions``
+    leaves out: nothing outside tests reaches it."""
+    reached = reached_definitions(modules, clients, roots)
     return [(f"{file}:{line}", name) for file, tree in modules.items()
-            for line, name in public_definitions(tree)
-            if f"{file.removesuffix('.py')}.{name}" not in traced
-            and name.rpartition(".")[2] not in (attributes if "." in name else names)]
+            for line, name in public_definitions(tree) if (file, name) not in reached]
 
 
 def decorated(node, name):
@@ -465,6 +542,15 @@ def test_hermitian_test_only_in_operator():
         "decide Hermitian-ness through operator.hermitian_gap")
 
 
+def test_entries_read_only_in_operator_and_the_operator_writer():
+    found = [(path.name, name) for path in MODULES if path.name != "operator.py"
+             for _, name in top_level_hits(tree_of(path), lambda node: isinstance(
+                 node, ast.Attribute) and node.attr == "entries")]
+    assert found == [("serialize.py", "dumps_operator")], (
+        "read an operator through operator's functions (transport, restrict, "
+        "concrete) so that only operator knows how its entries are stored")
+
+
 def test_controlled_solves_only_spectral_projections():
     names = {name for _, name in eigen_solves(tree_of(SRC / "controlled.py"))}
     assert names == {"kappa_even"}, (
@@ -520,12 +606,14 @@ def test_no_unread_private_names():
 
 
 def test_no_public_name_only_tests_reach():
+    roots = (traced_names(tree_of(ROOT / "perfbench" / "spans.py"))
+             | console_scripts((ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    assert "cli.main" in roots
     unread = unread_public_names({path.name: tree_of(path) for path in MODULES},
-                                 [tree_of(path) for path in CLIENTS],
-                                 traced_names(tree_of(ROOT / "perfbench" / "spans.py")))
+                                 [tree_of(path) for path in CLIENTS], roots)
     stray = [f"{at} {name}" for at, name in unread if name not in TEST_ONLY]
-    assert stray == [], ("public names that no library function, demo or benchmark "
-                         f"reads; delete them, or say in TEST_ONLY why they stay: {stray}")
+    assert stray == [], ("public names that nothing reaches from a demo, the benchmark or "
+                         f"the CLI; delete them, or say in TEST_ONLY why they stay: {stray}")
     assert sorted(name for _, name in unread if name in TEST_ONLY) == sorted(TEST_ONLY), (
         "TEST_ONLY names a definition that is gone or now read outside tests")
 
@@ -602,9 +690,12 @@ def test_guards_catch_what_they_name():
     bench = [ast.parse("class Load:\n    def check(self, i):\n        return i\n"),
              ast.parse("def loop(w):\n    return w.check(0) + w.grow()\n")]
     assert {"check", "grow"} <= names_read(bench)
-    names, attributes = library_reads({"m.py": ast.parse("pass\n")}, bench)
+    names, attributes = client_reads(bench)
     assert "grow" in attributes and "check" not in names | attributes
-    assert "check" in library_reads({"m.py": ast.parse("x.check()\n")}, bench)[1]
+    # what a library module runs on import reads
+    loads = {"m.py": ast.parse("class Load:\n    def check(self):\n        pass\n\n\n"
+                               "Load().check()\n")}
+    assert unread_public_names(loads, bench, set()) == []
     # the three blind spots: a re-export, a method named like a local and
     # one named like an attribute of an imported module
     lib = {"__init__.py": ast.parse("from .cell import Cell, seed\n"),
@@ -613,10 +704,25 @@ def test_guards_catch_what_they_name():
                                 "    def zeros(self):\n        pass\n\n\n"
                                 "def seed():\n    grow = 1\n    return np.zeros(grow)\n\n\n"
                                 "def _tend():\n    return Cell()\n")}
-    assert unread_public_names(lib, [], set()) == [
+    assert unread_public_names(lib, [], {"cell._tend"}) == [
         ("cell.py:5", "Cell.grow"), ("cell.py:8", "Cell.zeros"), ("cell.py:12", "seed")]
     assert unread_public_names(lib, [ast.parse("def f(c):\n    return c.zeros()\n")],
-                               {"cell.seed", "cell.Cell.grow"}) == []
+                               {"cell._tend", "cell.seed", "cell.Cell.grow"}) == []
+    # transitive: a name that only unreached definitions read is unread, and
+    # a method counts only once its class is reached (a dunder at once)
+    lib = {"m.py": ast.parse("def helper():\n    pass\n\n\n"
+                             "def only_tests():\n    return helper()\n\n\n"
+                             "class Box:\n    def open(self):\n        return helper()\n\n"
+                             "    def __call__(self):\n        return self.shut()\n\n"
+                             "    def shut(self):\n        pass\n\n\n"
+                             "class Crate:\n    def open(self):\n        pass\n\n\n"
+                             "def used():\n    return Box\n")}
+    assert [name for _, name in unread_public_names(lib, [ast.parse("used()\n")], set())] \
+        == ["helper", "only_tests", "Box.open", "Crate", "Crate.open"]
+    assert [name for _, name in unread_public_names(
+        lib, [ast.parse("used()().open()\n")], set())] == ["only_tests", "Crate", "Crate.open"]
+    assert [name for _, name in unread_public_names(
+        lib, [ast.parse("used()\n")], {"m.only_tests"})] == ["Box.open", "Crate", "Crate.open"]
     assert attributes_read([ast.parse("import numpy as np\nfrom m import Cell\n"
                                       "np.zeros(Cell.grow())\n")]) == {"grow"}
     assert traced_names(ast.parse('TRACED = [\n    "a.f", "b.C.m",\n]\nOTHER = ["c.g"]\n')) \

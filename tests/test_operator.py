@@ -21,6 +21,7 @@ from coarsek.operator import (
     propagation,
     restrict,
     support,
+    transport,
 )
 
 
@@ -294,6 +295,31 @@ class TestLayout:
         got = coordinates_of(fat_space, k, points)
         assert got.dtype.kind == "i"
         assert got.tolist() == want
+
+    def test_transport_by_a_map_of_one_copy(self, line3, twocomp, rng):
+        v = rng.standard_normal((2, 3))  # line3's module into twocomp's
+        op = random_banded(line3, 2.0, rng, amplification=2).with_scalar([1.0, 2.0j])
+        out = transport(op, v, twocomp)
+        big = np.kron(np.eye(2), v)
+        assert out.space is twocomp and out.amplification == 2
+        assert same_bits(out.entries, big @ op.entries @ big.T)
+        assert same_bits(out.scalar, op.scalar)
+
+    def test_transport_by_a_map_of_all_copies(self, line3, twocomp, rng):
+        v = rng.standard_normal((6, 6))  # two copies of line3 into three of twocomp
+        op = random_banded(line3, 2.0, rng, amplification=2).with_scalar([0.5j, 0.5j])
+        out = transport(op, v, twocomp)
+        assert out.amplification == 3
+        assert same_bits(out.entries, v @ op.entries @ v.T)
+        assert out.scalar.tolist() == [0.5j] * 3
+        assert transport(op.with_scalar(None), v, twocomp).scalar is None
+
+    def test_transport_mixing_copies_needs_a_constant_scalar(self, line3, rng):
+        op = random_banded(line3, 2.0, rng, amplification=2).with_scalar([1.0, 1.5])
+        with pytest.raises(DomainError, match="constant scalar part"):
+            transport(op, np.eye(6), line3)
+        with pytest.raises(ShapeError):
+            transport(op, np.eye(4), line3)
 
 
 # -- oracles: the layout spelled out by hand, as it was before ``lift``,
